@@ -559,7 +559,7 @@ def _bench_transport(args: argparse.Namespace, trace) -> dict:
     from repro.net.table import COLUMNS, PacketTable
     from repro.runner.pool import parallel_map
     from repro.runner.shm import (
-        export_table,
+        export,
         transport_probe_pickle,
         transport_probe_shm,
     )
@@ -579,7 +579,7 @@ def _bench_transport(args: argparse.Namespace, trace) -> dict:
     # same segment, while the pickle transport below must serialize
     # one full copy per shipment.
     started = time.perf_counter()
-    handle = export_table(big)
+    handle = export(big)
     try:
         sums = parallel_map(
             transport_probe_shm, [handle] * workers, workers=workers
@@ -1749,30 +1749,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _EngineOption(argparse.Action):
-    """Store an engine spec, warning when the legacy alias is used."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if option_string == "--backend":
-            import warnings
-
-            # DeprecationWarning is hidden by default filters outside
-            # __main__, so the human typing the old flag also gets a
-            # plain stderr notice.
-            print(
-                f"{parser.prog}: warning: --backend is deprecated; "
-                "use --engine",
-                file=sys.stderr,
-            )
-            warnings.warn(
-                "--backend is deprecated; use --engine "
-                "(same accepted values)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        setattr(namespace, self.dest, values)
-
-
 def _add_fanout_option(parser: argparse.ArgumentParser) -> None:
     """The pooled parallelism axis (see ``repro.session.FANOUTS``)."""
     parser.add_argument(
@@ -1787,13 +1763,9 @@ def _add_fanout_option(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_engine_option(parser: argparse.ArgumentParser) -> None:
-    """The execution-engine choice (``--backend`` kept as a
-    deprecated alias that warns)."""
+    """The execution-engine choice."""
     parser.add_argument(
         "--engine",
-        "--backend",  # pre-engine-layer alias, resolves identically
-        dest="engine",
-        action=_EngineOption,
         choices=("auto", "numpy", "python"),
         default="auto",
         help="execution engine: numpy = columnar fast paths (default), "

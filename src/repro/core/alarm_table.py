@@ -29,9 +29,10 @@ into flat per-filter / per-flow-key column blocks:
 * flow keys — one row per :class:`~repro.net.flow.FlowKey`
   (src/sport/dst/dport/proto as unsigned columns).
 
-Because every column is a plain array, an alarm table pickles
-compactly (the alarm cache stores these), ships zero-copy over shared
-memory (:func:`repro.runner.shm.export_alarm_table`), and slices /
+Because every column is a plain array, an alarm table is one column
+bundle (:mod:`repro.codec`) — the alarm cache's entries, warehouse
+alarm segments, and the zero-copy shared-memory result transport
+(:mod:`repro.runner.shm`) all store exactly these arrays — and slices /
 concatenates without touching Python objects.  Detector and
 configuration *names* live in small first-appearance-ordered pools;
 the dense coding is computed by the paired ``"alarm_codes"`` engine
@@ -194,6 +195,23 @@ class AlarmTable:
             AlarmTable,
             tuple(getattr(self, name) for name in ALL_ARRAYS)
             + (self.detectors, self.configs),
+        )
+
+    def named_arrays(self) -> list[tuple[str, np.ndarray]]:
+        """Every array by name (the :mod:`repro.codec` bundle input)."""
+        return [(name, getattr(self, name)) for name in ALL_ARRAYS]
+
+    def pools(self) -> dict[str, tuple[str, ...]]:
+        """The detector / configuration name pools, by bundle pool name."""
+        return {"detectors": self.detectors, "configs": self.configs}
+
+    @classmethod
+    def from_named_arrays(cls, arrays, pools) -> "AlarmTable":
+        """Rebuild from :meth:`named_arrays` / :meth:`pools` output."""
+        return cls(
+            **{name: arrays[name] for name in ALL_ARRAYS},
+            detectors=pools["detectors"],
+            configs=pools["configs"],
         )
 
     def _validate(self) -> None:

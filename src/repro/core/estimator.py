@@ -24,7 +24,7 @@ from repro.core.extractor import TrafficExtractor
 from repro.core.graph import build_similarity_graph
 from repro.core.louvain import louvain
 from repro.detectors.base import Alarm
-from repro.engine import EngineSpec, resolve_engine, resolve_legacy_backend
+from repro.engine import EngineSpec, resolve_engine
 from repro.net.flow import Granularity
 from repro.net.trace import Trace
 
@@ -67,9 +67,7 @@ class SimilarityEstimator:
         resolution: float = 1.0,
         engine: EngineSpec = "auto",
         graph_engine: EngineSpec = None,
-        backend: EngineSpec = None,
     ) -> None:
-        engine = resolve_legacy_backend(engine, backend, what="estimator")
         self.granularity = granularity
         self.measure = measure
         self.edge_threshold = edge_threshold

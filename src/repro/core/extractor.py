@@ -33,12 +33,7 @@ from typing import FrozenSet, Sequence
 import numpy as np
 
 from repro.detectors.base import Alarm
-from repro.engine import (
-    Engine,
-    EngineSpec,
-    resolve_engine,
-    resolve_legacy_backend,
-)
+from repro.engine import Engine, EngineSpec, resolve_engine
 from repro.errors import EngineError, TraceError
 from repro.net.flow import FlowKey, Granularity, biflow_key, uniflow_key
 from repro.net.trace import Trace
@@ -280,9 +275,7 @@ class TrafficExtractor:
         trace: Trace,
         granularity: Granularity = Granularity.UNIFLOW,
         engine: EngineSpec = "auto",
-        backend: EngineSpec = None,
     ) -> None:
-        engine = resolve_legacy_backend(engine, backend, what="extractor")
         self.trace = trace
         self.granularity = granularity
         self.engine = resolve_engine(engine, what="extractor")

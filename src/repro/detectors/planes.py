@@ -192,6 +192,70 @@ def _exportable_value(value) -> bool:
     )
 
 
+def planes_to_named_arrays(items) -> tuple[list[tuple[str, np.ndarray]], dict]:
+    """Flatten exportable ``(spec, plane)`` pairs for :mod:`repro.codec`.
+
+    Every plane array is stored 1-D as ``"<plane>.<member>"``; the
+    returned plane metadata (JSON-native) records each spec, its
+    container kind (``nd`` / ``tuple`` / ``list`` / ``hist``) and per
+    member either the array's shape or the scalar value.
+    """
+    arrays: list[tuple[str, np.ndarray]] = []
+    planes = []
+    for i, (spec, value) in enumerate(items):
+        if isinstance(value, np.ndarray):
+            kind, members = "nd", [value]
+        elif isinstance(value, (tuple, list)):
+            kind = "tuple" if isinstance(value, tuple) else "list"
+            members = list(value)
+        else:  # BinnedHistogram duck-type
+            kind = "hist"
+            members = [value.feature, value.values, value.codes, value.counts]
+        parts = []
+        for j, member in enumerate(members):
+            if isinstance(member, np.ndarray):
+                arrays.append((f"{i}.{j}", member.reshape(-1)))
+                parts.append(["array", list(member.shape)])
+            else:
+                if isinstance(member, np.generic):
+                    member = member.item()
+                parts.append(["scalar", member])
+        planes.append([list(spec), kind, parts])
+    return arrays, {"planes": planes}
+
+
+def planes_from_named_arrays(arrays, meta) -> dict:
+    """``{spec: plane}`` rebuilt from :func:`planes_to_named_arrays`.
+
+    Array members are reshaped views, marked read-only: fan-out
+    workers share one physical copy, so an accidental in-place write
+    must raise rather than corrupt a sibling's input (consumers that
+    rewrite entries — the streaming KL baseline — ``.copy()`` first).
+    """
+    from repro.detectors.features import BinnedHistogram
+
+    planes: dict = {}
+    for i, (spec, kind, parts) in enumerate(meta["planes"]):
+        members = []
+        for j, (tag, value) in enumerate(parts):
+            if tag == "scalar":
+                members.append(value)
+                continue
+            member = arrays[f"{i}.{j}"].reshape(value)
+            member.flags.writeable = False
+            members.append(member)
+        if kind == "nd":
+            plane = members[0]
+        elif kind == "tuple":
+            plane = tuple(members)
+        elif kind == "list":
+            plane = members
+        else:
+            plane = BinnedHistogram(*members)
+        planes[tuple(spec)] = plane
+    return planes
+
+
 # One cache per (trace, engine name), attached weakly so a pickled
 # trace never ships its planes and caches die with their trace.
 _TRACE_CACHES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()

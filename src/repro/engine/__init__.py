@@ -24,7 +24,6 @@ from repro.engine.core import (
     get_engine,
     register_engine,
     resolve_engine,
-    resolve_legacy_backend,
 )
 from repro.errors import EngineError
 
@@ -43,5 +42,4 @@ __all__ = [
     "get_engine",
     "register_engine",
     "resolve_engine",
-    "resolve_legacy_backend",
 ]

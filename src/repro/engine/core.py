@@ -256,31 +256,6 @@ def resolve_engine(spec: EngineSpec = "auto", *, what: str = "engine") -> Engine
     )
 
 
-def resolve_legacy_backend(
-    engine: EngineSpec, backend: EngineSpec, *, what: str = "engine"
-) -> EngineSpec:
-    """Fold a deprecated ``backend=`` keyword into an engine spec.
-
-    PR-era callers configured the columnar/reference choice through
-    ``backend=``; the engine layer renamed it ``engine=``.  The old
-    spelling still works — with a :class:`DeprecationWarning` — unless
-    the caller also passed an explicit ``engine``, which wins.
-    """
-    if backend is None:
-        return engine
-    import warnings
-
-    warnings.warn(
-        f"{what}: the backend= keyword is deprecated; pass engine= "
-        "(same accepted values)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    if engine is None or engine == "auto":
-        return backend
-    return engine
-
-
 def engine_pairs(op: str) -> Iterator[tuple[Engine, Engine]]:
     """(vectorized, reference) engine pairs both implementing ``op``.
 

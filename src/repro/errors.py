@@ -62,6 +62,15 @@ class ServeError(ReproError):
     """The serving layer (daemon, feeds, scheduler, HTTP) misbehaved."""
 
 
+class CodecError(ReproError):
+    """A column bundle (:mod:`repro.codec`) is malformed.
+
+    Raised for bad magic, unknown formats, truncated or unparsable
+    descriptors, missing descriptor keys, and arrays whose declared
+    extent or alignment does not fit the bundle's data.
+    """
+
+
 class WarehouseError(ReproError):
     """The label warehouse is missing, corrupt, or misused.
 

@@ -87,7 +87,7 @@ def _score_grid_chunk(payload: tuple) -> list[SweepPoint]:
             attached = handle.attach()
             attachments.append(attached)
             workloads.append(
-                (Trace.from_table(attached.table, metadata), events)
+                (Trace.from_table(attached.value, metadata), events)
             )
     try:
         points = []
@@ -174,11 +174,11 @@ def sweep_parameter(
     shipped = None
     handles = []
     if workers > 1:
-        from repro.runner.shm import export_table
+        from repro.runner.shm import export
 
         shipped = []
         for trace, events in workloads:
-            handle = export_table(trace.table)
+            handle = export(trace.table)
             handles.append(handle)
             shipped.append((handle, trace.metadata, events))
     payloads = [

@@ -20,9 +20,10 @@ from typing import Union
 def write_atomic_bytes(path: Union[str, Path], payload: bytes) -> None:
     """Binary twin of :func:`write_atomic` (tmp file + ``os.replace``).
 
-    The warehouse's columnar segment files go through this: a reader
-    memory-mapping the path sees either the previous complete segment
-    or the new complete segment, never a torn one.
+    Column bundles go through this — warehouse segment files and
+    alarm-cache entries: a reader memory-mapping or loading the path
+    sees either the previous complete bundle or the new one, never a
+    torn one.
     """
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(

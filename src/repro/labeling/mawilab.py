@@ -30,7 +30,7 @@ from repro.core.scann import SCANNStrategy
 from repro.core.strategies import CombinationStrategy, Decision
 from repro.detectors.base import Alarm, Detector
 from repro.detectors.registry import default_ensemble
-from repro.engine import EngineSpec, resolve_engine, resolve_legacy_backend
+from repro.engine import EngineSpec, resolve_engine
 from repro.labeling.heuristics import HeuristicLabel, label_community
 from repro.labeling.taxonomy import assign_taxonomy, assign_taxonomy_batch
 from repro.net.flow import Granularity
@@ -140,9 +140,7 @@ class MAWILabPipeline:
         rule_support_pct: float = 20.0,
         seed: int = 0,
         engine: EngineSpec = "auto",
-        backend: EngineSpec = None,
     ) -> None:
-        engine = resolve_legacy_backend(engine, backend, what="pipeline")
         self.engine = resolve_engine(engine, what="pipeline")
         self.ensemble = (
             list(ensemble)

@@ -23,10 +23,14 @@ Layout
       v0002/                         # a recompute under a new config
         ...
 
-Each segment file is ``MWLW`` magic, a little-endian format/u64 header
-length, a JSON descriptor (array names, dtypes, lengths, relative
-offsets, string pools, metadata), then 64-byte-aligned column blocks.
-Segments are published atomically
+Each segment file is one column bundle (:mod:`repro.codec` — the same
+layout the shared-memory transport and the alarm cache use): ``MWLW``
+magic, a little-endian format/u64 header length, a JSON descriptor
+(array names, dtypes, lengths, relative offsets, string pools,
+metadata), then 64-byte-aligned column blocks.  Every descriptor is
+validated on open, so a header whose arrays overrun the file's data is
+a :class:`~repro.errors.WarehouseError`, never a silent read into the
+padding.  Segments are published atomically
 (:func:`repro.ioutil.write_atomic_bytes`) and the manifest through
 :func:`repro.ioutil.write_atomic`, so readers never observe a torn
 file; the manifest records every segment's byte size and SHA-256, so a
@@ -67,9 +71,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.alarm_table import ALL_ARRAYS, AlarmTable
+from repro import codec
+from repro.core.alarm_table import AlarmTable
 from repro.engine import EngineSpec, resolve_engine
-from repro.errors import WarehouseError
+from repro.errors import CodecError, WarehouseError
 from repro.ioutil import write_atomic, write_atomic_bytes
 from repro.labeling.database import _address_code
 from repro.labeling.mawilab import LabelRecord, PipelineResult, labels_to_csv
@@ -81,10 +86,6 @@ from repro.labeling.store import (
 )
 from repro.labeling.taxonomy import TAXONOMY_ORDER
 from repro.net.addresses import ip_to_str
-
-_MAGIC = b"MWLW"
-_FORMAT = 1
-_ALIGN = 64
 
 _MANIFEST_NAME = "manifest.json"
 
@@ -132,11 +133,7 @@ def archive_meta(archive) -> dict:
     return meta
 
 
-# -- segment codec ------------------------------------------------------
-
-
-def _pad(length: int) -> int:
-    return (-length) % _ALIGN
+# -- segment files ------------------------------------------------------
 
 
 def _sha256_file(path: Path) -> str:
@@ -147,51 +144,6 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def encode_segment(
-    kind: str,
-    arrays: Sequence[tuple[str, np.ndarray]],
-    pools: dict[str, Sequence[str]],
-    meta: dict,
-) -> bytes:
-    """Serialize named columns into one segment byte string."""
-    descriptors = []
-    blobs = []
-    offset = 0
-    for name, array in arrays:
-        array = np.ascontiguousarray(array)
-        blob = array.tobytes()
-        descriptors.append(
-            {
-                "name": name,
-                "dtype": array.dtype.str,
-                "length": int(array.shape[0]),
-                "offset": offset,
-            }
-        )
-        blobs.append(blob)
-        offset += len(blob) + _pad(len(blob))
-    header = json.dumps(
-        {
-            "kind": kind,
-            "arrays": descriptors,
-            "pools": {name: list(pool) for name, pool in pools.items()},
-            "meta": meta,
-            "data_bytes": offset,
-        },
-        sort_keys=True,
-    ).encode()
-    out = bytearray()
-    out += _MAGIC
-    out += _FORMAT.to_bytes(4, "little")
-    out += len(header).to_bytes(8, "little")
-    out += header
-    out += b"\x00" * _pad(len(out))
-    for blob in blobs:
-        out += blob
-        out += b"\x00" * _pad(len(blob))
-    return bytes(out)
-
-
 class Segment:
     """One opened segment file: mapped column views + pools + meta."""
 
@@ -200,54 +152,22 @@ class Segment:
     def __init__(self, path: Union[str, Path], kind: Optional[str] = None):
         self.path = Path(path)
         try:
-            size = os.path.getsize(self.path)
-            with open(self.path, "rb") as handle:
-                head = handle.read(16)
-                if len(head) < 16 or head[:4] != _MAGIC:
-                    raise WarehouseError(
-                        f"not a warehouse segment: {self.path}"
-                    )
-                fmt = int.from_bytes(head[4:8], "little")
-                if fmt != _FORMAT:
-                    raise WarehouseError(
-                        f"unsupported segment format {fmt} in {self.path}"
-                    )
-                header_len = int.from_bytes(head[8:16], "little")
-                if 16 + header_len > size:
-                    raise WarehouseError(
-                        f"truncated segment header: {self.path}"
-                    )
-                try:
-                    header = json.loads(handle.read(header_len))
-                except ValueError as exc:
-                    raise WarehouseError(
-                        f"corrupt segment header: {self.path}: {exc}"
-                    ) from exc
-        except OSError as exc:
+            raw = np.memmap(self.path, dtype=np.uint8, mode="r")
+            layout = codec.read_layout(raw)
+        except CodecError as exc:
+            raise WarehouseError(f"{exc}: {self.path}") from exc
+        except (OSError, ValueError) as exc:
             raise WarehouseError(
                 f"unreadable segment {self.path}: {exc}"
             ) from exc
-        self.kind = header["kind"]
-        if kind is not None and self.kind != kind:
+        if kind is not None and layout.kind != kind:
             raise WarehouseError(
-                f"segment {self.path} holds {self.kind!r}, wanted {kind!r}"
+                f"segment {self.path} holds {layout.kind!r}, wanted {kind!r}"
             )
-        self.pools = {
-            name: tuple(pool) for name, pool in header["pools"].items()
-        }
-        self.meta = header["meta"]
-        data_start = 16 + header_len + _pad(16 + header_len)
-        if data_start + int(header["data_bytes"]) > size:
-            raise WarehouseError(f"truncated segment: {self.path}")
-        raw = np.memmap(self.path, dtype=np.uint8, mode="r")
-        self.arrays = {}
-        for descriptor in header["arrays"]:
-            dtype = np.dtype(descriptor["dtype"])
-            start = data_start + int(descriptor["offset"])
-            nbytes = int(descriptor["length"]) * dtype.itemsize
-            self.arrays[descriptor["name"]] = raw[
-                start : start + nbytes
-            ].view(dtype)
+        self.kind = layout.kind
+        self.pools = layout.pools
+        self.meta = layout.meta
+        self.arrays = codec.view(raw, layout)
 
 
 def _encode_rule_field(rules, attr: str) -> np.ndarray:
@@ -261,7 +181,7 @@ def _encode_rule_field(rules, attr: str) -> np.ndarray:
     )
 
 
-def encode_label_segment(store: LabelStore, meta: dict) -> bytes:
+def encode_label_segment(store: LabelStore, meta: dict) -> bytearray:
     """Spill a :class:`LabelStore` (summaries included) into bytes."""
     n = len(store)
     rule_bounds = np.zeros(n + 1, dtype=np.int64)
@@ -320,7 +240,7 @@ def encode_label_segment(store: LabelStore, meta: dict) -> bytes:
         "detector_names": store.detector_names,
         "annotation_tags": store.annotation_tags,
     }
-    return encode_segment("labels", arrays, pools, meta)
+    return codec.encode("labels", arrays, pools, meta)
 
 
 def label_store_from_segment(segment: Segment) -> LabelStore:
@@ -371,22 +291,6 @@ def label_store_from_segment(segment: Segment) -> LabelStore:
         detector_names=segment.pools["detector_names"],
         annotation_tags=segment.pools["annotation_tags"],
         summaries=summaries,
-    )
-
-
-def encode_alarm_segment(table: AlarmTable, meta: dict) -> bytes:
-    """Spill an :class:`AlarmTable` into bytes (all 19 arrays + pools)."""
-    arrays = [(name, getattr(table, name)) for name in ALL_ARRAYS]
-    pools = {"detectors": table.detectors, "configs": table.configs}
-    return encode_segment("alarms", arrays, pools, meta)
-
-
-def alarm_table_from_segment(segment: Segment) -> AlarmTable:
-    """Rebuild an :class:`AlarmTable` zero-copy from mapped columns."""
-    return AlarmTable(
-        *(segment.arrays[name] for name in ALL_ARRAYS),
-        detectors=segment.pools["detectors"],
-        configs=segment.pools["configs"],
     )
 
 
@@ -465,7 +369,7 @@ class Warehouse:
                 ) from exc
         else:
             self._manifest = {
-                "format": _FORMAT,
+                "format": codec.FORMAT,
                 "current": None,
                 "versions": {},
             }
@@ -595,7 +499,13 @@ class Warehouse:
                 "labels", encode_label_segment(store, meta), len(store)
             ),
             "alarms": (
-                publish("alarms", encode_alarm_segment(table, meta), len(table))
+                publish(
+                    "alarms",
+                    codec.encode(
+                        "alarms", table.named_arrays(), table.pools(), meta
+                    ),
+                    len(table),
+                )
                 if table is not None
                 else None
             ),
@@ -697,9 +607,8 @@ class Warehouse:
     def alarm_table(
         self, date: str, version: Optional[str] = None
     ) -> AlarmTable:
-        return alarm_table_from_segment(
-            self._segment(date, "alarms", version)
-        )
+        segment = self._segment(date, "alarms", version)
+        return AlarmTable.from_named_arrays(segment.arrays, segment.pools)
 
     def export_csv(self, date: str, version: Optional[str] = None) -> str:
         """The day's labels as CSV — byte-identical to ``repro label``."""

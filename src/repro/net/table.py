@@ -107,6 +107,15 @@ class PacketTable:
         # through the constructor instead.
         return (PacketTable, tuple(getattr(self, name) for name in COLUMNS))
 
+    def named_arrays(self) -> list[tuple[str, np.ndarray]]:
+        """Every column by name (the :mod:`repro.codec` bundle input)."""
+        return [(name, getattr(self, name)) for name in COLUMNS]
+
+    @classmethod
+    def from_named_arrays(cls, arrays) -> "PacketTable":
+        """Rebuild from :meth:`named_arrays` output (views stay views)."""
+        return cls(**{name: arrays[name] for name in COLUMNS})
+
     def _validate(self) -> None:
         proto = self.proto
         if proto.size:

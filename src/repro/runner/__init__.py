@@ -9,8 +9,8 @@ the production machinery for that workload:
 * :class:`~repro.runner.cache.AlarmCache` — an on-disk Step 1 cache so
   re-labeling with a different combiner or granularity skips detection;
 * :mod:`~repro.runner.shm` — the zero-copy shared-memory transport:
-  packet tables exported once per trace, attached by workers without
-  pickling;
+  packet tables exported once per trace as column bundles, attached by
+  workers without pickling;
 * :class:`~repro.runner.batch.BatchRunner` — the historical batch
   facade; orchestration itself lives in
   :class:`repro.session.LabelingSession`, which shards an archive (or
@@ -24,7 +24,7 @@ from repro.runner.cache import AlarmCache
 from repro.runner.config import PipelineConfig
 from repro.runner.pool import parallel_map
 from repro.runner.report import BatchReport, TraceReport
-from repro.runner.shm import SharedTableHandle, export_table
+from repro.runner.shm import SegmentHandle, export
 from repro.runner.worker import TraceTask, run_task
 
 __all__ = [
@@ -32,10 +32,10 @@ __all__ = [
     "BatchReport",
     "BatchRunner",
     "PipelineConfig",
-    "SharedTableHandle",
+    "SegmentHandle",
     "TraceReport",
     "TraceTask",
-    "export_table",
+    "export",
     "parallel_map",
     "run_task",
 ]

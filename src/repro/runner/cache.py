@@ -6,21 +6,19 @@ measure.  Caching alarms keyed by ``(archive, trace, ensemble)``
 therefore lets a re-labeling sweep with a different combiner skip
 Step 1 entirely.
 
-Entries are serialized :class:`~repro.core.alarm_table.AlarmTable`
-columns — a handful of NumPy arrays plus two small name pools —
-written atomically (temp file + ``os.replace``) so concurrent pool
-workers never observe a torn entry; a corrupt or unreadable entry is
-treated as a miss and evicted.  Entries written by the pre-columnar
-cache (pickled ``Alarm`` object lists) still hit: they are re-encoded
-into a table on read.
+Each entry is one :class:`~repro.core.alarm_table.AlarmTable` stored
+as a column bundle (:mod:`repro.codec` — the warehouse's alarm-segment
+layout): a handful of NumPy arrays plus two small name pools, written
+atomically (temp file + ``os.replace``) so concurrent pool workers never
+observe a torn entry.  Reading never unpickles anything: a corrupt,
+truncated or foreign entry fails the codec's validation and is treated
+as a miss and evicted.  Entries of older cache formats (``*.pkl``) are
+not read; delete the cache directory to reclaim their space.
 
 Cache keys are **engine-agnostic**: the columnar and reference kernels
 are asserted byte-identical by the engine parity suite, so an alarm set
 computed under one engine is valid under the other and the key hashes
-only ``(archive, trace, ensemble)``.  Keys written before the engine
-layer additionally hashed the engine name; :meth:`AlarmCache.get`
-accepts those as ``legacy`` keys and migrates a hit to its new key
-once, so old caches keep paying off after an upgrade.
+only ``(archive, trace, ensemble)``.
 
 The cache is LRU-aware: every hit touches the entry's mtime, and
 :meth:`AlarmCache.prune` evicts least-recently-used entries to keep
@@ -33,15 +31,19 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+from repro import codec
 from repro.core.alarm_table import AlarmTable
 from repro.detectors.base import Alarm
+from repro.errors import CodecError
+from repro.ioutil import write_atomic_bytes
+
+#: Entry file suffix (a column bundle, like warehouse segments).
+_SUFFIX = ".seg"
 
 
 @dataclass(frozen=True)
@@ -87,60 +89,32 @@ class AlarmCache:
         ).hexdigest()[:24]
         return f"alarms-{digest}"
 
-    @staticmethod
-    def legacy_keys(
-        archive_fingerprint: str,
-        trace_name: str,
-        ensemble_fingerprint: str,
-    ) -> list[str]:
-        """Pre-engine-layer keys for the same entry.
-
-        Early versions suffixed the resolved engine name into the
-        digest; both historical spellings are candidates for the
-        one-time migration in :meth:`get`.
-        """
-        return [
-            "alarms-"
-            + hashlib.sha256(
-                f"{archive_fingerprint}:{trace_name}:{ensemble_fingerprint}"
-                f":{name}".encode()
-            ).hexdigest()[:24]
-            for name in ("numpy", "python")
-        ]
-
     def path_for(self, key: str) -> Path:
-        return self.cache_dir / f"{key}.pkl"
+        return self.cache_dir / f"{key}{_SUFFIX}"
 
-    def get(
-        self, key: str, legacy: Sequence[str] = ()
-    ) -> Optional[AlarmTable]:
-        """Cached alarm table for ``key``, or ``None`` on a miss.
-
-        ``legacy`` lists older keys that denote the same entry (see
-        :meth:`legacy_keys`); a hit on one is re-written under ``key``
-        so the migration happens exactly once per entry.
-        """
+    def get(self, key: str) -> Optional[AlarmTable]:
+        """Cached alarm table for ``key``, or ``None`` on a miss."""
         alarms = self._read(key)
-        if alarms is not None:
+        if alarms is None:
+            self.misses += 1
+        else:
             self.hits += 1
-            return alarms
-        for old_key in legacy:
-            alarms = self._read(old_key)
-            if alarms is not None:
-                self.put(key, alarms)
-                self.hits += 1
-                return alarms
-        self.misses += 1
-        return None
+        return alarms
 
     def _read(self, key: str) -> Optional[AlarmTable]:
         path = self.path_for(key)
         try:
-            with path.open("rb") as handle:
-                payload = pickle.load(handle)
+            # A private writable copy: the table's columns view it.
+            payload = bytearray(path.read_bytes())
+            layout = codec.read_layout(payload)
+            if layout.kind != "alarms":
+                raise CodecError(f"cache entry holds {layout.kind!r}")
+            table = AlarmTable.from_named_arrays(
+                codec.view(payload, layout), layout.pools
+            )
         except FileNotFoundError:
             return None
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+        except (OSError, CodecError, KeyError, ValueError):
             # Torn/corrupt entry (e.g. from a killed worker): evict.
             path.unlink(missing_ok=True)
             return None
@@ -149,22 +123,7 @@ class AlarmCache:
             os.utime(path)
         except OSError:  # pragma: no cover - entry raced away
             pass
-        if isinstance(payload, AlarmTable):
-            return payload
-        if isinstance(payload, list):
-            # Pre-columnar entry: a pickled list of Alarm objects.
-            # Re-encode and rewrite in place so the conversion cost is
-            # paid once; a list that does not encode (corrupt items) is
-            # a corrupt entry like any other — evict, report a miss.
-            try:
-                table = AlarmTable.from_alarms(payload)
-            except Exception:
-                path.unlink(missing_ok=True)
-                return None
-            self.put(key, table)
-            return table
-        path.unlink(missing_ok=True)
-        return None
+        return table
 
     def put(
         self, key: str, alarms: Union[AlarmTable, Sequence[Alarm]]
@@ -172,28 +131,18 @@ class AlarmCache:
         """Store an alarm set under ``key`` atomically (as a table)."""
         if not isinstance(alarms, AlarmTable):
             alarms = AlarmTable.from_alarms(list(alarms))
-        path = self.path_for(key)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.cache_dir, prefix=f".{key}.", suffix=".tmp"
+        write_atomic_bytes(
+            self.path_for(key),
+            codec.encode("alarms", alarms.named_arrays(), alarms.pools()),
         )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(alarms, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.cache_dir.glob("alarms-*.pkl"))
+        return sum(1 for _ in self.cache_dir.glob(f"alarms-*{_SUFFIX}"))
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""
         removed = 0
-        for path in self.cache_dir.glob("alarms-*.pkl"):
+        for path in self.cache_dir.glob(f"alarms-*{_SUFFIX}"):
             path.unlink(missing_ok=True)
             removed += 1
         return removed
@@ -203,7 +152,7 @@ class AlarmCache:
     def _entries(self) -> list[tuple[float, int, Path]]:
         """(mtime, bytes, path) per entry, least recently used first."""
         entries = []
-        for path in self.cache_dir.glob("alarms-*.pkl"):
+        for path in self.cache_dir.glob(f"alarms-*{_SUFFIX}"):
             try:
                 stat = path.stat()
             except FileNotFoundError:  # pragma: no cover - racing worker

@@ -34,7 +34,7 @@ class TraceReport:
     elapsed: float = 0.0
     error: str = ""
     #: Zero-copy result transport: a
-    #: :class:`~repro.runner.shm.SharedAlarmTableHandle` naming the
+    #: :class:`~repro.runner.shm.SegmentHandle` naming the
     #: worker's exported Step 1 alarm table, when the task asked for
     #: it.  Consumed (and cleared) by the session; never serialized
     #: into the JSON report.

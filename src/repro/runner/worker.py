@@ -22,7 +22,7 @@ A task's packets reach the worker over one of three transports:
   crosses the process boundary;
 * **pickle** — an embedded :class:`~repro.net.trace.Trace` rides the
   task pipe (two copies + pickle framing);
-* **shm** — a :class:`~repro.runner.shm.SharedTableHandle` names a
+* **shm** — a :class:`~repro.runner.shm.SegmentHandle` names a
   shared-memory segment the worker attaches zero-copy.  Tasks with
   ``pin_segment=True`` attach through the process-local
   :class:`~repro.runner.shm.SegmentRegistry`, so successive tasks
@@ -42,11 +42,7 @@ from repro.ioutil import write_atomic
 from repro.net.trace import Trace, TraceMetadata
 from repro.runner.config import PipelineConfig
 from repro.runner.report import TraceReport
-from repro.runner.shm import (
-    SharedPlanesHandle,
-    SharedTableHandle,
-    segment_registry,
-)
+from repro.runner.shm import SegmentHandle, segment_registry
 
 
 @dataclass(frozen=True)
@@ -65,7 +61,7 @@ class TraceTask:
     archive_seed: int = 2010
     trace_duration: float = 60.0
     trace: Optional[Trace] = None
-    shm: Optional[SharedTableHandle] = None
+    shm: Optional[SegmentHandle] = None
     metadata: Optional[TraceMetadata] = None
     #: Trace-source fingerprint for alarm-cache keys.  Callers that
     #: know the provenance (e.g. an archive day shipped over shm) pass
@@ -150,7 +146,7 @@ def _run_task_inner(task: TraceTask) -> TraceReport:
         if task.pin_segment:
             # Registry attach: the mapping is pinned across tasks, so
             # a recycled arena segment maps once per worker lifetime.
-            table = segment_registry().table(task.shm)
+            table = segment_registry().view(task.shm)
             attach = time.perf_counter() - attach_started
             trace = Trace.from_table(table, task.metadata)
             return _label_trace(
@@ -159,7 +155,7 @@ def _run_task_inner(task: TraceTask) -> TraceReport:
         attached = task.shm.attach()
         attach = time.perf_counter() - attach_started
         try:
-            trace = Trace.from_table(attached.table, task.metadata)
+            trace = Trace.from_table(attached.value, task.metadata)
             return _label_trace(
                 task, trace, fingerprint=task.fingerprint, attach=attach
             )
@@ -201,13 +197,10 @@ def _label_trace(
     if cache is not None:
         if fingerprint is None:
             fingerprint = fingerprint_trace(trace)
-        key_parts = (
-            fingerprint,
-            task.date,
-            pipeline.ensemble_fingerprint(),
+        key = AlarmCache.make_key(
+            fingerprint, task.date, pipeline.ensemble_fingerprint()
         )
-        key = AlarmCache.make_key(*key_parts)
-        alarms = cache.get(key, legacy=AlarmCache.legacy_keys(*key_parts))
+        alarms = cache.get(key)
     cache_hit = alarms is not None
     compute_started = time.perf_counter()
     if alarms is None:
@@ -223,11 +216,11 @@ def _label_trace(
     alarms_shm = None
     if task.return_alarms:
         from repro.core.alarm_table import AlarmTable
-        from repro.runner.shm import export_alarm_table
+        from repro.runner.shm import export
 
         if not isinstance(alarms, AlarmTable):
             alarms = AlarmTable.from_alarms(list(alarms))
-        alarms_shm = export_alarm_table(alarms)
+        alarms_shm = export(alarms)
 
     csv_path = ""
     if task.out_dir:
@@ -281,7 +274,7 @@ class DetectTask:
 
     config: PipelineConfig
     config_indices: tuple[int, ...]
-    shm: Optional[SharedTableHandle] = None
+    shm: Optional[SegmentHandle] = None
     trace: Optional[Trace] = None
     metadata: Optional[TraceMetadata] = None
     pin_segment: bool = True
@@ -291,7 +284,7 @@ class DetectTask:
     #: :class:`~repro.detectors.planes.PlaneCache` from the zero-copy
     #: views before analyzing, so sibling groups of one trace share
     #: the ensemble's planes instead of recomputing them per worker.
-    planes: Optional[SharedPlanesHandle] = None
+    planes: Optional[SegmentHandle] = None
 
 
 @dataclass
@@ -337,10 +330,10 @@ def _run_detect_inner(task: DetectTask) -> DetectResult:
     attach_started = time.perf_counter()
     if task.shm is not None:
         if task.pin_segment:
-            table = segment_registry().table(task.shm)
+            table = segment_registry().view(task.shm)
         else:
             attached = task.shm.attach()
-            table = attached.table
+            table = attached.value
         trace = Trace.from_table(table, task.metadata)
     elif task.trace is not None:
         trace = task.trace
@@ -355,10 +348,10 @@ def _run_detect_inner(task: DetectTask) -> DetectResult:
         pipeline = _pipeline_for(task.config)
         cache = plane_cache_for(trace, pipeline.engine)
         if task.pin_segment:
-            plane_views = segment_registry().planes(task.planes)
+            plane_views = segment_registry().view(task.planes)
         else:
             attached_planes = task.planes.attach()
-            plane_views = attached_planes.planes
+            plane_views = attached_planes.value
         for spec, value in plane_views.items():
             cache.seed(spec, value)
     attach = time.perf_counter() - attach_started

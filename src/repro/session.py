@@ -37,7 +37,7 @@ Execution architecture (see ``docs/architecture-fanout.md``): the
 session owns one persistent :class:`~repro.runner.pool.WorkerPool`
 (workers spawn once, pin attached segments across shards in their
 :class:`~repro.runner.shm.SegmentRegistry`) and a small pool of
-:class:`~repro.runner.shm.TableArena` segments recycled across
+:class:`~repro.runner.shm.SegmentArena` segments recycled across
 exports, so steady-state transport cost is one memcpy per shard;
 shard export is double-buffered against worker compute via
 :meth:`~repro.runner.pool.WorkerPool.map_pipelined`.  Call
@@ -60,7 +60,6 @@ from repro.engine import (
     Engine,
     EngineSpec,
     resolve_engine,
-    resolve_legacy_backend,
 )
 from repro.net.table import PacketTable
 from repro.net.trace import Trace, TraceMetadata
@@ -72,7 +71,7 @@ from repro.runner.pool import (
     register_signal_cleanup,
 )
 from repro.runner.report import BatchReport, TraceReport
-from repro.runner.shm import PlaneArena, TableArena, export_table
+from repro.runner.shm import SegmentArena
 
 #: Accepted trace transports for pooled modes.  ``"auto"`` picks the
 #: shared-memory transport whenever tasks actually cross a process
@@ -102,8 +101,8 @@ class _FanoutShard:
     cache_key: str = ""
     cache_hit: bool = False
     alarms: object = None
-    arena: Optional[TableArena] = None
-    plane_arena: Optional[PlaneArena] = None
+    arena: Optional[SegmentArena] = None
+    plane_arena: Optional[SegmentArena] = None
     futures: list = field(default_factory=list)
     export_seconds: float = 0.0
     plane_seconds: float = 0.0
@@ -159,7 +158,6 @@ class LabelingSession:
         config: Optional[PipelineConfig] = None,
         *,
         engine: EngineSpec = None,
-        backend: EngineSpec = None,
         workers: int = 1,
         cache_dir: Optional[str] = None,
         out_dir: Optional[str] = None,
@@ -167,7 +165,6 @@ class LabelingSession:
         transport: str = "auto",
         fanout: str = "shard",
     ) -> None:
-        engine = resolve_legacy_backend(engine, backend, what="session")
         if resume and not out_dir:
             raise ValueError("resume=True requires an out_dir")
         if transport not in TRANSPORTS:
@@ -198,8 +195,8 @@ class LabelingSession:
         #: recycled shard to shard; grown on demand up to the
         #: pipelining depth, unlinked at close.
         self._arenas: list = []
-        self._free_arenas: list[TableArena] = []
-        self._free_plane_arenas: list[PlaneArena] = []
+        self._free_arenas: list[SegmentArena] = []
+        self._free_plane_arenas: list[SegmentArena] = []
         self._finalizer = weakref.finalize(
             self, _finalize_session, self.pool, self._arenas
         )
@@ -272,27 +269,20 @@ class LabelingSession:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _take_arena(self) -> TableArena:
-        if self._free_arenas:
-            return self._free_arenas.pop()
-        arena = TableArena()
+    def _take_arena(self, free: list[SegmentArena]) -> SegmentArena:
+        """A recycled arena from ``free`` (table or plane list), or a new one."""
+        if free:
+            return free.pop()
+        arena = SegmentArena()
         self._arenas.append(arena)
         return arena
 
-    def _return_arena(self, arena: Optional[TableArena]) -> None:
+    @staticmethod
+    def _return_arena(
+        free: list[SegmentArena], arena: Optional[SegmentArena]
+    ) -> None:
         if arena is not None:
-            self._free_arenas.append(arena)
-
-    def _take_plane_arena(self) -> PlaneArena:
-        if self._free_plane_arenas:
-            return self._free_plane_arenas.pop()
-        arena = PlaneArena()
-        self._arenas.append(arena)
-        return arena
-
-    def _return_plane_arena(self, arena: Optional[PlaneArena]) -> None:
-        if arena is not None:
-            self._free_plane_arenas.append(arena)
+            free.append(arena)
 
     # -- run modes -----------------------------------------------------
 
@@ -347,7 +337,7 @@ class LabelingSession:
         date field), which names its output CSV and resume marker.
         With the shared-memory transport (the default whenever
         ``workers > 1``), each trace's packet table is exported into a
-        recycled :class:`~repro.runner.shm.TableArena` segment workers
+        recycled :class:`~repro.runner.shm.SegmentArena` segment workers
         attach zero-copy (and keep pinned, so recycled segments map
         once per worker); exports are double-buffered against worker
         compute, and peak shared memory is bounded by the shards in
@@ -465,7 +455,7 @@ class LabelingSession:
         total: int,
         phases: dict,
     ) -> BatchReport:
-        arena_of: dict[str, TableArena] = {}
+        arena_of: dict[str, SegmentArena] = {}
         alarm_tables: dict[str, object] = {}
 
         def make_tasks():
@@ -481,7 +471,7 @@ class LabelingSession:
                 )
                 if transport == "shm":
                     started = time.perf_counter()
-                    arena = self._take_arena()
+                    arena = self._take_arena(self._free_arenas)
                     handle = arena.export(trace.table)
                     phases["export"] += time.perf_counter() - started
                     arena_of[name] = arena
@@ -495,7 +485,10 @@ class LabelingSession:
             # Recycle the shard's arena the moment its report lands —
             # the worker is done reading, so the next export may
             # overwrite the segment.
-            self._return_arena(arena_of.pop(getattr(report, "date", None), None))
+            self._return_arena(
+                self._free_arenas,
+                arena_of.pop(getattr(report, "date", None), None),
+            )
             for key, value in getattr(report, "phases", {}).items():
                 if key in phases:
                     phases[key] += value
@@ -505,7 +498,7 @@ class LabelingSession:
                 # segment, then free it; the handle never outlives
                 # this callback.
                 try:
-                    alarm_tables[report.date] = result_handle.to_table()
+                    alarm_tables[report.date] = result_handle.copy()
                 finally:
                     result_handle.unlink()
                 report.alarms_shm = None
@@ -521,7 +514,7 @@ class LabelingSession:
             )
         finally:
             for arena in list(arena_of.values()):
-                self._return_arena(arena)
+                self._return_arena(self._free_arenas, arena)
             arena_of.clear()
         batch = BatchReport(reports=reports)
         batch.alarm_tables.update(alarm_tables)
@@ -581,15 +574,10 @@ class LabelingSession:
             fingerprint = shard.fingerprint or worker.fingerprint_trace(
                 shard.trace
             )
-            key_parts = (
-                fingerprint,
-                shard.name,
-                self.pipeline.ensemble_fingerprint(),
+            shard.cache_key = AlarmCache.make_key(
+                fingerprint, shard.name, self.pipeline.ensemble_fingerprint()
             )
-            shard.cache_key = AlarmCache.make_key(*key_parts)
-            cached = cache.get(
-                shard.cache_key, legacy=AlarmCache.legacy_keys(*key_parts)
-            )
+            cached = cache.get(shard.cache_key)
             if cached is not None:
                 shard.cache_hit = True
                 shard.alarms = cached
@@ -602,7 +590,7 @@ class LabelingSession:
         )
         if transport == "shm":
             export_started = time.perf_counter()
-            shard.arena = self._take_arena()
+            shard.arena = self._take_arena(self._free_arenas)
             handle = shard.arena.export(shard.trace.table)
             shard.export_seconds = time.perf_counter() - export_started
             common.update(shm=handle, pin_segment=True)
@@ -620,7 +608,7 @@ class LabelingSession:
                 cache = plane_cache_for(shard.trace, self.engine)
                 for spec in merge_plane_specs(self.pipeline.ensemble):
                     cache.get(shard.trace, spec)
-                shard.plane_arena = self._take_plane_arena()
+                shard.plane_arena = self._take_arena(self._free_plane_arenas)
                 common.update(
                     planes=shard.plane_arena.export(
                         cache.exportable_items()
@@ -659,9 +647,9 @@ class LabelingSession:
                 return shard.alarms, phases
             results = [future.result() for future in shard.futures]
         finally:
-            self._return_arena(shard.arena)
+            self._return_arena(self._free_arenas, shard.arena)
             shard.arena = None
-            self._return_plane_arena(shard.plane_arena)
+            self._return_arena(self._free_plane_arenas, shard.plane_arena)
             shard.plane_arena = None
             shard.futures = []
         failures = [r for r in results if not r.ok]
@@ -723,9 +711,9 @@ class LabelingSession:
                     progress(done_offset + index + 1, total, report)
         finally:
             for shard in shards:
-                self._return_arena(shard.arena)
+                self._return_arena(self._free_arenas, shard.arena)
                 shard.arena = None
-                self._return_plane_arena(shard.plane_arena)
+                self._return_arena(self._free_plane_arenas, shard.plane_arena)
                 shard.plane_arena = None
         batch = BatchReport(reports=reports)
         batch.alarm_tables.update(alarm_tables)
@@ -858,4 +846,4 @@ class LabelingSession:
         return BatchReport(reports=reports)
 
 
-__all__ = ["LabelingSession", "TRANSPORTS", "FANOUTS", "export_table"]
+__all__ = ["LabelingSession", "TRANSPORTS", "FANOUTS"]

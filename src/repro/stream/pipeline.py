@@ -46,7 +46,7 @@ from repro.core.extractor import TrafficExtractor
 from repro.core.louvain import louvain
 from repro.detectors.base import Alarm, Detector
 from repro.detectors.streaming import StreamingDetector, wrap_ensemble
-from repro.engine import EngineSpec, resolve_engine, resolve_legacy_backend
+from repro.engine import EngineSpec, resolve_engine
 from repro.errors import StreamError
 from repro.labeling.mawilab import LabelRecord, MAWILabPipeline, labels_to_csv
 from repro.labeling.store import LabelStore
@@ -57,7 +57,7 @@ from repro.net.trace import Trace, TraceMetadata
 from repro.detectors.planes import plane_cache_for
 from repro.runner.config import PipelineConfig
 from repro.runner.pool import WorkerPool
-from repro.runner.shm import PlaneArena, TableArena
+from repro.runner.shm import SegmentArena
 from repro.stream.planes import StreamingPlanes
 from repro.stream.window import TraceWindow
 
@@ -199,7 +199,7 @@ class StreamingPipeline:
         Optional persistent :class:`~repro.runner.pool.WorkerPool`.
         When the pool is parallel, every window's Step 1 fans the
         detector configurations across its workers against one shared
-        window segment (recycled via a :class:`TableArena`, pinned by
+        window segment (recycled via a :class:`SegmentArena`, pinned by
         the workers' segment registries) — the streaming twin of the
         session's intra-trace fan-out, and byte-identical to the
         serial window loop.  Requires ``config`` (workers rebuild
@@ -226,12 +226,10 @@ class StreamingPipeline:
         rule_support_pct: float = 20.0,
         seed: int = 0,
         engine: EngineSpec = "auto",
-        backend: EngineSpec = None,
         pool: Optional[WorkerPool] = None,
         config: Optional[PipelineConfig] = None,
         max_ring_packets: Optional[int] = None,
     ) -> None:
-        engine = resolve_legacy_backend(engine, backend, what="stream")
         if window <= 0:
             raise StreamError(f"window must be positive, got {window}")
         hop = window if hop is None else hop
@@ -278,18 +276,18 @@ class StreamingPipeline:
         self._config = config
         #: Recycled export segment for pooled windows; window fan-out
         #: is synchronous, so one arena suffices and recycling is safe.
-        self._arena = TableArena() if self.pool is not None else None
+        self._arena = SegmentArena() if self.pool is not None else None
         if self._arena is not None:
-            weakref.finalize(self, TableArena.close, self._arena)
+            weakref.finalize(self, SegmentArena.close, self._arena)
         #: Recycled export segment for each window's seeded planes
         #: (pooled vectorized mode only).
         self._plane_arena = (
-            PlaneArena()
+            SegmentArena()
             if self.pool is not None and self.engine.vectorized
             else None
         )
         if self._plane_arena is not None:
-            weakref.finalize(self, PlaneArena.close, self._plane_arena)
+            weakref.finalize(self, SegmentArena.close, self._plane_arena)
         #: Incrementally maintained plane bases: chunk appends grow the
         #: value dictionaries, each window's histograms / sketch
         #: buckets are then derived by searchsorted instead of

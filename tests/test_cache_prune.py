@@ -87,40 +87,32 @@ class TestPrune:
 
 
 class TestLegacyEntries:
-    def test_object_list_entry_still_hits_as_table(self, tmp_path):
-        """Entries pickled as Alarm lists (pre-columnar cache) are
-        re-encoded into tables on read — and rewritten in place, so
-        the conversion cost is paid exactly once."""
-        import pickle
-
-        cache = AlarmCache(tmp_path)
-        key = AlarmCache.make_key("arch", "day", "ens")
-        alarms = [_alarm(1), _alarm(2)]
-        with cache.path_for(key).open("wb") as handle:
-            pickle.dump(alarms, handle)
-        got = cache.get(key)
-        assert got is not None
-        assert got.to_alarms() == alarms
-        # The entry on disk is now the table format.
-        with cache.path_for(key).open("rb") as handle:
-            from repro.core.alarm_table import AlarmTable
-
-            assert isinstance(pickle.load(handle), AlarmTable)
-
     def test_unconvertible_list_entry_is_a_clean_evicted_miss(
         self, tmp_path
     ):
-        """A list entry whose items are not alarms must behave like any
-        other corrupt entry: miss, evict, never raise."""
+        """A pickled list at an entry's path (the pre-bundle format) is
+        never unpickled: it fails bundle validation like any other
+        corrupt entry — miss, evict, never raise."""
         import pickle
 
         cache = AlarmCache(tmp_path)
         key = AlarmCache.make_key("arch", "day", "ens")
         with cache.path_for(key).open("wb") as handle:
-            pickle.dump(["not", "alarms"], handle)
+            pickle.dump([_alarm(1), _alarm(2)], handle)
         assert cache.get(key) is None
         assert not cache.path_for(key).exists()
         assert cache.misses == 1
+
+    def test_old_pickle_entries_are_not_read(self, tmp_path):
+        """``*.pkl`` entries of the old format are outside the cache:
+        neither counted, nor served, nor pruned."""
+        cache = AlarmCache(tmp_path)
+        key = AlarmCache.make_key("arch", "day", "ens")
+        stale = tmp_path / f"{key}.pkl"
+        stale.write_bytes(b"old entry")
+        assert len(cache) == 0
+        assert cache.get(key) is None
+        assert stale.exists()
 
 
 class TestCliCachePrune:

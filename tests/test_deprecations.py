@@ -1,8 +1,8 @@
-"""Legacy ``--backend`` / ``backend=`` spellings: warn, then behave.
+"""The engine knob has one spelling: ``--engine`` / ``engine=``.
 
-The engine layer renamed every ``backend`` knob to ``engine``.  The
-old spellings still resolve identically — asserted here — but now emit
-a :class:`DeprecationWarning` pointing at the replacement.
+The pre-engine-layer ``--backend`` / ``backend=`` aliases are gone:
+the old spellings are rejected outright, and the remaining spellings
+never warn.
 """
 
 from __future__ import annotations
@@ -13,70 +13,22 @@ import pytest
 
 from repro.cli import build_parser
 from repro.core.estimator import SimilarityEstimator
-from repro.core.extractor import TrafficExtractor
 from repro.detectors.kl import KLDetector
-from repro.engine import get_engine
+from repro.errors import DetectorError
 from repro.labeling.mawilab import MAWILabPipeline
-from repro.net.packet import PROTO_TCP, Packet
-from repro.net.trace import Trace
 from repro.session import LabelingSession
-from repro.stream.pipeline import StreamingPipeline
-
-
-def _trace() -> Trace:
-    return Trace(
-        [
-            Packet(
-                time=float(i),
-                src=1,
-                dst=2,
-                sport=3,
-                dport=4,
-                proto=PROTO_TCP,
-                size=40,
-            )
-            for i in range(3)
-        ]
-    )
 
 
 class TestBackendKwarg:
-    def test_pipeline_backend_kwarg_warns_and_resolves(self):
-        with pytest.warns(DeprecationWarning, match="backend= .* deprecated"):
-            pipeline = MAWILabPipeline(backend="python")
-        assert pipeline.engine is get_engine("python")
-
-    def test_explicit_engine_wins_over_backend(self):
-        with pytest.warns(DeprecationWarning):
-            pipeline = MAWILabPipeline(engine="numpy", backend="python")
-        assert pipeline.engine is get_engine("numpy")
-
-    def test_estimator_and_extractor_accept_backend(self):
-        with pytest.warns(DeprecationWarning):
-            estimator = SimilarityEstimator(backend="python")
-        assert estimator.engine is get_engine("python")
-        with pytest.warns(DeprecationWarning):
-            extractor = TrafficExtractor(_trace(), backend="python")
-        assert extractor.engine is get_engine("python")
-
-    def test_detector_backend_param_warns(self):
-        with pytest.warns(DeprecationWarning):
-            detector = KLDetector(backend="python")
-        assert detector.engine is get_engine("python")
-        # And it is NOT recorded as a detector parameter (it must never
-        # enter ensemble fingerprints).
-        assert "backend" not in detector.params
-
-    def test_streaming_pipeline_backend_kwarg(self):
-        with pytest.warns(DeprecationWarning):
-            stream = StreamingPipeline(window=10.0, backend="python")
-        assert stream.engine is get_engine("python")
-
-    def test_session_backend_kwarg(self):
-        with pytest.warns(DeprecationWarning):
-            session = LabelingSession(backend="python")
-        assert session.engine is get_engine("python")
-        assert session.config.engine == "python"
+    def test_backend_kwarg_is_rejected(self):
+        with pytest.raises(TypeError):
+            MAWILabPipeline(backend="python")
+        with pytest.raises(TypeError):
+            LabelingSession(backend="python")
+        # Detectors take free-form tuning parameters; an unknown one is
+        # a typed error and never enters an ensemble fingerprint.
+        with pytest.raises(DetectorError, match="backend"):
+            KLDetector(backend="python")
 
     def test_no_warning_without_backend(self):
         with warnings.catch_warnings():
@@ -85,27 +37,13 @@ class TestBackendKwarg:
             SimilarityEstimator()
             LabelingSession()
 
-    def test_backend_labels_identically_to_engine(self):
-        from repro.labeling.mawilab import labels_to_csv
-
-        trace = _trace()
-        with pytest.warns(DeprecationWarning):
-            legacy = MAWILabPipeline(backend="python").run(trace)
-        modern = MAWILabPipeline(engine="python").run(trace)
-        assert labels_to_csv(legacy.labels) == labels_to_csv(modern.labels)
-
 
 class TestBackendCliAlias:
-    def test_backend_flag_warns_and_sets_engine(self, capsys):
+    def test_backend_flag_is_an_argparse_error(self, capsys):
         parser = build_parser()
-        with pytest.warns(DeprecationWarning, match="--backend is deprecated"):
-            args = parser.parse_args(
-                ["label", "x.pcap", "--backend", "python"]
-            )
-        assert args.engine == "python"
-        # Humans typing the old flag see a notice even under the
-        # default warning filters (which hide DeprecationWarning).
-        assert "--backend is deprecated" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            parser.parse_args(["label", "x.pcap", "--backend", "python"])
+        assert "--backend" in capsys.readouterr().err
 
     def test_engine_flag_does_not_warn(self):
         parser = build_parser()

@@ -19,7 +19,7 @@ import pytest
 from repro.labeling.mawilab import labels_to_csv
 from repro.mawi.archive import SyntheticArchive
 from repro.runner.pool import WorkerPool, parallel_map
-from repro.runner.shm import SegmentRegistry, TableArena, export_table
+from repro.runner.shm import SegmentArena, SegmentRegistry, export
 from repro.session import FANOUTS, LabelingSession
 
 DATE = "2004-06-01"
@@ -160,15 +160,15 @@ class TestSegmentRegistry:
     def test_pins_mapping_across_handles(self, day_trace):
         """Two tasks naming the same segment map it once — the arena
         recycling contract that makes persistent workers pay off."""
-        with TableArena() as arena:
+        with SegmentArena() as arena:
             registry = SegmentRegistry()
             try:
                 first = arena.export(day_trace.table)
-                t1 = registry.table(first)
+                t1 = registry.view(first)
                 assert (t1.time == day_trace.table.time).all()
                 second = arena.export(day_trace.table)
                 assert second.name == first.name
-                registry.table(second)
+                registry.view(second)
                 assert registry.attaches == 1
                 assert registry.hits == 1
                 assert registry.names() == (first.name,)
@@ -177,10 +177,10 @@ class TestSegmentRegistry:
 
     def test_evicts_lru_past_capacity(self, day_trace):
         registry = SegmentRegistry(max_segments=1)
-        handles = [export_table(day_trace.table) for _ in range(2)]
+        handles = [export(day_trace.table) for _ in range(2)]
         try:
-            registry.table(handles[0])
-            registry.table(handles[1])
+            registry.view(handles[0])
+            registry.view(handles[1])
             assert registry.attaches == 2
             assert registry.names() == (handles[1].name,)
         finally:
@@ -190,9 +190,9 @@ class TestSegmentRegistry:
 
     def test_release_and_clear_are_idempotent(self, day_trace):
         registry = SegmentRegistry()
-        handle = export_table(day_trace.table)
+        handle = export(day_trace.table)
         try:
-            registry.table(handle)
+            registry.view(handle)
             registry.release(handle.name)
             registry.release(handle.name)
             assert registry.names() == ()
@@ -203,7 +203,7 @@ class TestSegmentRegistry:
 
 class TestTableArena:
     def test_recycles_segment_for_fitting_tables(self, day_trace):
-        with TableArena() as arena:
+        with SegmentArena() as arena:
             a = arena.export(day_trace.table)
             b = arena.export(day_trace.table)
             assert a.name == b.name
@@ -225,7 +225,7 @@ class TestTableArena:
                 for name in COLUMNS
             }
         )
-        with TableArena(slack=1.0) as arena:
+        with SegmentArena() as arena:
             first = arena.export(small)
             second = arena.export(big)
             assert second.name != first.name
@@ -236,7 +236,7 @@ class TestTableArena:
                 assert len(table) == len(big)
 
     def test_close_is_idempotent_and_arena_reusable(self, day_trace):
-        arena = TableArena()
+        arena = SegmentArena()
         handle = arena.export(day_trace.table)
         arena.close()
         arena.close()

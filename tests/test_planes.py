@@ -9,8 +9,8 @@ Four angles on :mod:`repro.detectors.planes`:
   cache shared across an ensemble of overlapping configurations is
   identical to fully uncached analysis, on both engines;
 * **shared-memory transport** — planes exported by
-  :func:`~repro.runner.shm.export_planes` / recycled through a
-  :class:`~repro.runner.shm.PlaneArena` attach element-identical and
+  :func:`~repro.runner.shm.export` / recycled through a
+  :class:`~repro.runner.shm.SegmentArena` attach element-identical and
   read-only;
 * **streaming planes** (hypothesis) — incrementally maintained
   dictionaries seed window planes element-identical to the
@@ -37,7 +37,7 @@ from repro.detectors.sketch import shared_hasher
 from repro.engine import get_engine
 from repro.net.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP, Packet
 from repro.net.trace import Trace
-from repro.runner.shm import PlaneArena, export_planes, segment_registry
+from repro.runner.shm import SegmentArena, export, segment_registry
 from repro.stream.planes import StreamingPlanes
 
 # -- strategies (the parity suite's small alphabets) -------------------
@@ -213,7 +213,7 @@ def _computed_cache(trace) -> PlaneCache:
 def test_plane_export_attach_roundtrip(tiny_trace):
     items = _computed_cache(tiny_trace).exportable_items()
     assert items
-    handle = export_planes(items)
+    handle = export(items)
     try:
         with handle.attach() as planes:
             assert set(planes) == {spec for spec, _ in items}
@@ -225,7 +225,7 @@ def test_plane_export_attach_roundtrip(tiny_trace):
 
 def test_attached_planes_are_read_only(tiny_trace):
     items = _computed_cache(tiny_trace).exportable_items()
-    handle = export_planes(items)
+    handle = export(items)
     try:
         with handle.attach() as planes:
             array = next(
@@ -239,11 +239,11 @@ def test_attached_planes_are_read_only(tiny_trace):
 
 def test_plane_arena_recycles_one_segment(tiny_trace):
     items = _computed_cache(tiny_trace).exportable_items()
-    with PlaneArena() as arena:
+    with SegmentArena() as arena:
         first = arena.export(items)
         name = first.name
         registry = segment_registry()
-        planes = registry.planes(first)
+        planes = registry.view(first)
         for spec, value in items:
             _assert_planes_equal(planes[spec], value)
         # A same-size re-export recycles the segment in place.
@@ -262,7 +262,7 @@ def test_plane_arena_grows_for_bigger_exports(tiny_trace):
         ]
     )
     big = _computed_cache(big_trace).exportable_items()
-    with PlaneArena() as arena:
+    with SegmentArena() as arena:
         arena.export(small)
         arena.export(big)
         assert arena.allocations == 2

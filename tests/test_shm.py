@@ -1,10 +1,13 @@
-"""Shared-memory table transports: zero-copy round-trips.
+"""Shared-memory transport: zero-copy round-trips across processes.
 
-The satellite properties: any :class:`PacketTable` — including empty
-and single-packet tables — exported to a shared-memory segment and
-attached *in a subprocess* equals the original, column for column; and
-any :class:`AlarmTable` (the worker-result transport) round-trips the
-same way, views included.
+The byte layout itself is the column-bundle codec, whose round-trip
+property is pinned once for every value kind in ``test_codec.py``.
+Here: any :class:`PacketTable` — including empty and single-packet
+tables — exported to a shared-memory segment and attached *in a
+subprocess* equals the original, column for column; any
+:class:`AlarmTable` (the worker-result transport) round-trips the same
+way; and the handle lifecycle (unlink, pickling, zero-copy views)
+holds.
 """
 
 from __future__ import annotations
@@ -19,11 +22,8 @@ from hypothesis import strategies as st
 from repro.core.alarm_table import AlarmTable
 from repro.net.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP, Packet
 from repro.net.table import COLUMNS, PacketTable
-from repro.runner.shm import (
-    export_alarm_table,
-    export_table,
-    segment_bytes,
-)
+from repro.codec import ALIGN
+from repro.runner.shm import export
 
 
 def _packet(time, src, dst, sport, dport, proto, size, flags):
@@ -81,7 +81,7 @@ def _attach_columns(handle) -> dict:
     """Pool worker: attach the segment and read every column out."""
     attached = handle.attach()
     try:
-        table = attached.table
+        table = attached.value
         return {c: getattr(table, c).tolist() for c in COLUMNS}
     finally:
         attached.close()
@@ -103,12 +103,12 @@ def pool():
 )
 def test_export_attach_in_subprocess_round_trips(pool, packet_list):
     table = PacketTable.from_packets(packet_list)
-    handle = export_table(table)
+    handle = export(table)
     try:
         # In-process attach is already zero-copy...
         attached = handle.attach()
         try:
-            assert _columns_equal(attached.table, table)
+            assert _columns_equal(attached.value, table)
         finally:
             attached.close()
         # ...and a *different process* reads the same bytes back.
@@ -122,7 +122,7 @@ def test_export_attach_in_subprocess_round_trips(pool, packet_list):
 def test_unlink_is_idempotent_and_frees_the_name():
     from multiprocessing import shared_memory
 
-    handle = export_table(PacketTable.from_packets(_single))
+    handle = export(PacketTable.from_packets(_single))
     handle.unlink()
     handle.unlink()  # second unlink is a silent no-op
     with pytest.raises(FileNotFoundError):
@@ -130,20 +130,29 @@ def test_unlink_is_idempotent_and_frees_the_name():
 
 
 def test_segment_layout_is_eight_byte_aligned():
-    assert segment_bytes(0) >= 1
-    for n_rows in (1, 3, 7, 1000):
-        assert segment_bytes(n_rows) % 8 == 0
+    """Every exported column starts on a bundle block boundary (64
+    bytes, so also 8-byte aligned) at any row count."""
+    assert ALIGN % 8 == 0
+    for n_rows in (0, 1, 3, 7, 1000):
+        handle = export(PacketTable.from_packets(_single * n_rows))
+        try:
+            layout = handle.layout
+            assert layout.data_start % ALIGN == 0
+            assert all(offset % ALIGN == 0 for *_, offset in layout.arrays)
+            assert [name for name, *_ in layout.arrays] == list(COLUMNS)
+        finally:
+            handle.unlink()
 
 
 def test_attach_is_zero_copy():
     """Attached columns are views over the mapped segment, not copies."""
     table = PacketTable.from_packets(_single * 5)
-    handle = export_table(table)
+    handle = export(table)
     try:
         attached = handle.attach()
         try:
             for column in COLUMNS:
-                assert not getattr(attached.table, column).flags.owndata
+                assert not getattr(attached.value, column).flags.owndata
         finally:
             attached.close()
     finally:
@@ -154,7 +163,7 @@ def _attach_alarms(handle) -> list:
     """Pool worker: attach an alarm segment, materialize every view."""
     attached = handle.attach()
     try:
-        return attached.table.to_alarms()
+        return attached.value.to_alarms()
     finally:
         attached.close()
 
@@ -173,15 +182,15 @@ def test_alarm_table_round_trips_through_shm_subprocess(pool, alarm_list):
     """The worker-result transport: export an alarm table, attach in a
     different process, get the identical alarms back."""
     table = AlarmTable.from_alarms(alarm_list)
-    handle = export_alarm_table(table)
+    handle = export(table)
     try:
         # In-process: attach views and the copy-out helper agree.
         attached = handle.attach()
         try:
-            assert attached.table == table
+            assert attached.value == table
         finally:
             attached.close()
-        assert handle.to_table().to_alarms() == alarm_list
+        assert handle.copy().to_alarms() == alarm_list
         # Cross-process: a pool worker materializes equal alarms.
         remote = pool.submit(_attach_alarms, handle).result(timeout=60)
         assert remote == alarm_list
@@ -196,7 +205,7 @@ def test_alarm_handle_unlink_is_idempotent():
     table = AlarmTable.from_alarms(
         [Alarm("pca", "pca/a", 0.0, 1.0, (FeatureFilter(src=1),))]
     )
-    handle = export_alarm_table(table)
+    handle = export(table)
     handle.unlink()
     handle.unlink()  # second unlink is a silent no-op
     from multiprocessing import shared_memory
@@ -209,16 +218,16 @@ def test_handle_is_small_and_picklable():
     import pickle
 
     table = PacketTable.from_packets(_single * 1000)
-    handle = export_table(table)
+    handle = export(table)
     try:
         payload = pickle.dumps(handle)
         # The point of the transport: the task pipe carries a name and
-        # a row count, not megabytes of packet arrays.
+        # the column layout, not megabytes of packet arrays.
         assert len(payload) < 512
         clone = pickle.loads(payload)
         attached = clone.attach()
         try:
-            assert _columns_equal(attached.table, table)
+            assert _columns_equal(attached.value, table)
         finally:
             attached.close()
     finally:
