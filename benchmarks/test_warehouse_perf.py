@@ -3,8 +3,8 @@
 The tentpole claim: over a month-scale archive, a cross-day predicate
 query answered from the warehouse's memory-mapped columns is at least
 an order of magnitude faster than the CSV path — re-parsing every
-day's ``LabelDatabase`` file — while the warehouse's CSV export stays
-byte-identical to the stored files.
+day's exported CSV file — while the warehouse's CSV export stays
+byte-identical to ``labels_to_csv``.
 
 The archive here is *synthetically constructed* label data (no
 pipeline runs): 32 days of deterministic records with realistic
@@ -19,9 +19,8 @@ import time
 
 import pytest
 
-from repro.labeling.database import LabelDatabase, _day_relpath
 from repro.labeling.heuristics import HeuristicLabel
-from repro.labeling.mawilab import LabelRecord
+from repro.labeling.mawilab import LabelRecord, labels_to_csv, read_labels_csv
 from repro.labeling.store import LabelStore
 from repro.labeling.taxonomy import TAXONOMY_ORDER
 from repro.rules.itemsets import Rule
@@ -80,30 +79,32 @@ def _synthetic_day(day_number: int) -> list[LabelRecord]:
 
 @pytest.fixture(scope="module")
 def populated(tmp_path_factory):
-    """32 days dual-written to the CSV database and the warehouse."""
+    """32 days stored in the warehouse, each also exported to a CSV file."""
     from repro.labeling.warehouse import Warehouse
 
     root = tmp_path_factory.mktemp("warehouse-perf")
-    database = LabelDatabase(str(root / "csv"))
     warehouse = Warehouse(root / "wh")
     warehouse.ensure_version("perf")
     dates = [
         f"2005-{1 + d // 28:02d}-{1 + d % 28:02d}" for d in range(N_DAYS)
     ]
+    csv_paths = {}
     for day_number, date in enumerate(dates):
-        records = _synthetic_day(day_number)
-        database.store_day_labels(date, records)
-        warehouse.store_day(date, LabelStore.from_records(records))
-    return database, warehouse, dates
+        warehouse.store_day(
+            date, LabelStore.from_records(_synthetic_day(day_number))
+        )
+        csv_paths[date] = root / f"labels-{date}.csv"
+        csv_paths[date].write_text(warehouse.export_csv(date))
+    return csv_paths, warehouse, dates
 
 
-def _query_csv(database: LabelDatabase, dates) -> list:
+def _query_csv(csv_paths: dict, dates) -> list:
     """The baseline: re-parse every day's CSV, filter in Python."""
     return [
-        record
+        row
         for date in dates
-        for record in database.load_day(date)
-        if record.taxonomy == "anomalous" and record.dport == 445
+        for row in read_labels_csv(csv_paths[date])
+        if row["taxonomy"] == "anomalous" and row["dport"] == 445
     ]
 
 
@@ -117,7 +118,7 @@ def _best_of(fn, reps: int) -> tuple[float, object]:
 
 
 def test_cross_day_query_beats_csv_by_10x(populated):
-    database, warehouse, dates = populated
+    csv_paths, warehouse, dates = populated
 
     def query_warehouse():
         return warehouse.query(taxonomy="anomalous", dport=445)
@@ -125,7 +126,7 @@ def test_cross_day_query_beats_csv_by_10x(populated):
     # Warm both paths once (mmap pages, filesystem cache), then take
     # best-of so scheduler noise cannot fail the gate spuriously.
     csv_seconds, csv_rows = _best_of(
-        lambda: _query_csv(database, dates), reps=3
+        lambda: _query_csv(csv_paths, dates), reps=3
     )
     warehouse_seconds, rows = _best_of(query_warehouse, reps=3)
 
@@ -135,8 +136,8 @@ def test_cross_day_query_beats_csv_by_10x(populated):
     warehouse_hits = {(row["date"], row["community"]) for row in rows}
     csv_hits = set()
     for date in dates:
-        for record in _query_csv(database, [date]):
-            csv_hits.add((date, record.community_id))
+        for row in _query_csv(csv_paths, [date]):
+            csv_hits.add((date, row["community"]))
     assert warehouse_hits == csv_hits
     assert len(csv_rows) >= len(csv_hits)  # CSV is per (community, rule)
     speedup = csv_seconds / warehouse_seconds
@@ -148,10 +149,11 @@ def test_cross_day_query_beats_csv_by_10x(populated):
 
 
 def test_export_matches_stored_csv_bytes(populated):
-    database, warehouse, dates = populated
-    for date in dates[:4] + dates[-1:]:
-        with open(f"{database.root}/{_day_relpath(date)}") as handle:
-            assert warehouse.export_csv(date) == handle.read()
+    _, warehouse, dates = populated
+    for day_number in [0, 1, 2, 3, N_DAYS - 1]:
+        assert warehouse.export_csv(dates[day_number]) == labels_to_csv(
+            _synthetic_day(day_number)
+        )
 
 
 def test_cold_open_is_fast(populated):

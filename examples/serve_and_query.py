@@ -11,7 +11,8 @@ example plays that loop end to end in one process:
    backpressure, not buffering);
 3. query ``/labels`` while and after ingest, then verify the served
    CSV is byte-identical to the offline pipeline's output;
-4. run the resumable archive scheduler against the same live index.
+4. run the resumable archive scheduler into the same label warehouse
+   the closed feed was committed to, and query its days back.
 
 Run:  python examples/serve_and_query.py
 """
@@ -36,10 +37,13 @@ def main() -> None:
     archive = SyntheticArchive(seed=2010, trace_duration=60.0)
     day = archive.day("2005-06-01")
 
-    # 1. The daemon: one session, many feeds, a live query index.  A
-    #    window covering the whole stream gives offline parity; a
-    #    smaller window would publish labels incrementally instead.
-    with LabelingService(window=120.0, max_ring_packets=16384) as service:
+    # 1. The daemon: one session, many feeds, a live query index and
+    #    a durable label warehouse.  A window covering the whole stream
+    #    gives offline parity; a smaller window would publish labels
+    #    incrementally instead.
+    with tempfile.TemporaryDirectory() as tmp, LabelingService(
+        window=120.0, max_ring_packets=16384, warehouse_root=f"{tmp}/wh"
+    ) as service:
         server = LabelServer(service).start_background()
         base = f"http://127.0.0.1:{server.port}"
         print(f"daemon listening on {base}")
@@ -68,8 +72,7 @@ def main() -> None:
         metrics = get(base, "/metrics")
         print(
             f"/metrics: p95 commit latency "
-            f"{metrics['latency']['p95_commit_seconds'] * 1e3:.0f}ms, "
-            f"{metrics['index']['queries']} index queries"
+            f"{metrics['latency']['p95_commit_seconds'] * 1e3:.0f}ms"
         )
 
         # The serving parity anchor: the served CSV for a fully
@@ -80,24 +83,28 @@ def main() -> None:
 
         server.stop_background()
 
-        # 4. Scheduled ingest: walk archive days into a LabelDatabase,
+        # 4. Scheduled ingest: walk archive days into the warehouse,
         #    resumably.  Interrupt and re-run: completed days are
         #    skipped via the journal, and a forced re-label hits the
         #    Step 1 alarm cache instead of re-detecting.
-        with tempfile.TemporaryDirectory() as tmp:
-            scheduler = ArchiveScheduler(
-                archive,
-                ["2005-06-02", "2005-06-03"],
-                f"{tmp}/db",
-                session=service.session,
-                cache_dir=f"{tmp}/cache",
-                index=service.index,
-            )
-            for outcome in scheduler.run_once():
-                print(f"scheduled {outcome.describe()} "
-                      f"({outcome.elapsed:.2f}s)")
-            # A second pass owes nothing.
-            print(f"second pass pending: {scheduler.pending()}")
+        scheduler = ArchiveScheduler(
+            archive,
+            ["2005-06-02", "2005-06-03"],
+            service.warehouse,
+            session=service.session,
+            cache_dir=f"{tmp}/cache",
+        )
+        for outcome in scheduler.run_once():
+            print(f"scheduled {outcome.describe()} "
+                  f"({outcome.elapsed:.2f}s)")
+        # A second pass owes nothing.
+        print(f"second pass pending: {scheduler.pending()}")
+        # Scheduled and fed days answer from the warehouse alike.
+        print(
+            f"warehouse days: {service.health()['warehouse_days']}, "
+            f"2005-06-02 labels: "
+            f"{len(service.query_labels(date='2005-06-02'))}"
+        )
 
 
 if __name__ == "__main__":

@@ -1,15 +1,20 @@
 #!/usr/bin/env python
 """CI smoke test for the labeling daemon.
 
-Boots ``repro serve`` as a real subprocess, drives it the way an
-operator would — open a feed over HTTP, POST a synthetic trace chunk
-by chunk, poll ``/labels`` until the day is queryable — and then
-checks the two properties a daemon must not lose:
+Boots ``repro serve`` as a real subprocess with a label warehouse and
+a one-day archive schedule, drives it the way an operator would — open
+a feed over HTTP, POST a synthetic trace chunk by chunk, poll
+``/labels`` until the day is queryable — and then checks the
+properties a daemon must not lose:
 
 * liveness: ``/health`` reports ``ok`` and ``/metrics`` counts the
   ingested windows;
+* durability: the scheduled day and the closed feed's day both answer
+  ``/labels?date=…&dport=…`` from the warehouse, and ``/health``
+  reports ``warehouse_days == 2``;
 * clean death: SIGTERM terminates the process with the conventional
-  signal status and leaves no ``/dev/shm`` segments behind.
+  signal status, leaves no ``/dev/shm`` segments behind, and leaves a
+  warehouse that ``repro warehouse verify`` passes.
 
 Usage::
 
@@ -27,6 +32,7 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import urllib.error
@@ -77,6 +83,27 @@ def post(base: str, path: str, payload: dict) -> dict:
         return json.load(response)
 
 
+def assert_dport_query(base: str, date: str) -> None:
+    """``date`` answers a dport-filtered query with matching rows."""
+    labels = get(base, f"/labels?date={date}")["labels"]
+    dport = next(
+        (
+            rule["dport"]
+            for row in labels
+            for rule in row["rules"]
+            if rule["dport"] is not None
+        ),
+        None,
+    )
+    assert dport is not None, f"{date}: no label pins a dport: {labels}"
+    rows = get(base, f"/labels?date={date}&dport={dport}")
+    assert rows["count"] >= 1, (date, dport, rows)
+    for row in rows["labels"]:
+        assert row["date"] == date, row
+        assert any(rule["dport"] == dport for rule in row["rules"]), row
+    print(f"{date}: {rows['count']} labels on dport {dport}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--duration", type=float, default=12.0)
@@ -88,11 +115,15 @@ def main(argv: list[str] | None = None) -> int:
     from repro.serve.http import table_to_rows
     from repro.stream.window import chunk_table
 
-    day = SyntheticArchive(seed=7, trace_duration=args.duration).day(
+    seed = 7
+    scheduled = "2004-05-01"
+    day = SyntheticArchive(seed=seed, trace_duration=args.duration).day(
         "2004-06-01"
     )
     segments_before = shm_segments()
     deadline = time.monotonic() + args.timeout
+    workdir = tempfile.TemporaryDirectory(prefix="serve-smoke-")
+    warehouse_root = os.path.join(workdir.name, "wh")
 
     process = subprocess.Popen(
         [
@@ -106,6 +137,18 @@ def main(argv: list[str] | None = None) -> int:
             str(args.duration * 2),
             "--exit-after",
             str(args.timeout),
+            "--warehouse-root",
+            warehouse_root,
+            "--schedule",
+            str(args.timeout),
+            "--seed",
+            str(seed),
+            "--duration",
+            str(args.duration),
+            "--start",
+            scheduled,
+            "--months",
+            "1",
         ],
         stderr=subprocess.PIPE,
     )
@@ -142,12 +185,22 @@ def main(argv: list[str] | None = None) -> int:
         metrics = get(base, "/metrics")
         assert metrics["ingest"]["windows"] >= 1, metrics
         assert metrics["ingest"]["packets"] == len(day.trace), metrics
-        health = get(base, "/health")
+        while True:
+            health = get(base, "/health")
+            if health["warehouse_days"] >= 2:
+                break
+            if time.monotonic() > deadline:
+                raise TimeoutError("the scheduled day was never committed")
+            time.sleep(0.1)
         assert health["status"] == "ok", health
         assert health["days_published"] == 1, health
+        assert health["warehouse_days"] == 2, health
+        for date in (scheduled, day.date):
+            assert_dport_query(base, date)
     except BaseException:
         process.kill()
         process.wait()
+        workdir.cleanup()
         raise
 
     process.send_signal(signal.SIGTERM)
@@ -159,7 +212,28 @@ def main(argv: list[str] | None = None) -> int:
     leaked = shm_segments() - segments_before
     assert not leaked, f"daemon leaked /dev/shm segments: {sorted(leaked)}"
 
-    print("serve smoke OK: ingested, queried, SIGTERM'd cleanly, no leaks")
+    with workdir:
+        verify = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "repro.cli",
+                "warehouse",
+                "verify",
+                "--root",
+                warehouse_root,
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        sys.stderr.write(verify.stdout + verify.stderr)
+        assert verify.returncode == 0, "warehouse verify failed"
+
+    print(
+        "serve smoke OK: fed + scheduled, queried, SIGTERM'd cleanly, "
+        "no leaks, warehouse verified"
+    )
     return 0
 
 

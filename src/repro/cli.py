@@ -15,7 +15,7 @@ Twelve subcommands expose the library to non-Python users::
                           --out-dir labels/ --cache-dir .mawilab-cache --resume
     mawilab cache prune   --cache-dir .mawilab-cache --max-bytes 500M \
                           --older-than 30d
-    mawilab serve         --port 8738 --db-root labels-db \
+    mawilab serve         --port 8738 --warehouse-root labels-wh \
                           --schedule 86400 --cache-dir .mawilab-cache
     mawilab warehouse ingest    --root wh --start 2004-01-01 --months 6
     mawilab warehouse query     --root wh --taxonomy anomalous --dport 445
@@ -36,11 +36,11 @@ workflow); `label-archive` shards archive days across a process pool,
 writes one label CSV per day plus a JSON batch report, and can resume
 an interrupted run; `serve` runs the labeling daemon — concurrent
 HTTP packet feeds with bounded-ring backpressure, live ``/labels``
-queries, and an optional resumable archive-ingest schedule (see
-``docs/serving.md``); `warehouse` manages the memory-mapped columnar
-label store — ingest, zero-copy cross-day queries, CSV export,
-checksum verification, and configuration-delta recompute (see
-``docs/warehouse.md``).  All commands are deterministic given their
+queries, and an optional resumable archive-ingest schedule into the
+label warehouse (see ``docs/serving.md``); `warehouse` manages that
+memory-mapped columnar label store — ingest, zero-copy cross-day
+queries, CSV export, checksum verification, and configuration-delta
+recompute (see ``docs/warehouse.md``).  All commands are deterministic given their
 seeds.
 
 The pipeline commands accept ``--engine {auto,numpy,python}``: the
@@ -688,15 +688,15 @@ def _bench_warehouse(args: argparse.Namespace, archive) -> dict:
     """Warehouse leg: columnar cross-day queries vs CSV re-parsing,
     plus the delta-recompute path.
 
-    ``--warehouse-days`` archive days are labeled once and dual-written
-    into a :class:`~repro.labeling.database.LabelDatabase` (the CSV
-    baseline) and a :class:`~repro.labeling.warehouse.Warehouse`
-    (mmap'd columnar segments).  The leg then measures:
+    ``--warehouse-days`` archive days are labeled once into a
+    :class:`~repro.labeling.warehouse.Warehouse` (mmap'd columnar
+    segments), and each day's CSV export is written to a file (the
+    text baseline).  The leg then measures:
 
     * cross-day query throughput — the same taxonomy filter answered
       from mapped columns (``Warehouse.query``) and by re-parsing every
-      day's CSV (``LabelDatabase.load_day``); ``query_speedup`` is the
-      ratio the CI regression gate enforces,
+      day's CSV file (:func:`~repro.labeling.mawilab.read_labels_csv`);
+      ``query_speedup`` is the ratio the CI regression gate enforces,
     * cold-open latency — a fresh :class:`Warehouse` handle mapping
       every day's label segment,
     * delta recompute — a heuristics-only configuration change
@@ -705,16 +705,16 @@ def _bench_warehouse(args: argparse.Namespace, archive) -> dict:
       segments (``step1_reruns`` is gated at exactly zero) and beat the
       full relabeling wall time (``recompute_speedup``).
 
-    The warehouse CSV export is asserted byte-identical to the stored
-    database CSV for every day, so the speedups are pure data-path
-    effects.
+    The warehouse CSV export is asserted byte-identical to the
+    pipeline's own ``labels_to_csv`` for every day, so the speedups are
+    pure data-path effects.
     """
     import dataclasses
     import os
     import tempfile
     import time
 
-    from repro.labeling.database import LabelDatabase, _day_relpath
+    from repro.labeling.mawilab import labels_to_csv, read_labels_csv
     from repro.labeling.warehouse import (
         Warehouse,
         archive_meta,
@@ -727,7 +727,6 @@ def _bench_warehouse(args: argparse.Namespace, archive) -> dict:
     pipeline = config.build_pipeline()
     query_reps = 20
     with tempfile.TemporaryDirectory(prefix="bench-warehouse-") as root:
-        database = LabelDatabase(os.path.join(root, "csv"))
         warehouse = Warehouse(os.path.join(root, "warehouse"))
         version = warehouse.ensure_version(
             warehouse_fingerprint(
@@ -740,21 +739,25 @@ def _bench_warehouse(args: argparse.Namespace, archive) -> dict:
             archive=archive_meta(archive),
         )
 
+        expected_csv = {}
         started = time.perf_counter()
         for date in dates:
             result = pipeline.run(archive.day(date).trace)
-            database.store_day(date, result)
             warehouse.store_result(date, result, version=version)
+            expected_csv[date] = labels_to_csv(result.labels)
         full_label_seconds = time.perf_counter() - started
 
+        csv_paths = {}
         for date in dates:
-            path = os.path.join(database.root, _day_relpath(date))
-            with open(path) as handle:
-                if warehouse.export_csv(date) != handle.read():
-                    raise RuntimeError(
-                        f"warehouse leg: export for {date} is not "
-                        "byte-identical to the stored CSV"
-                    )
+            exported = warehouse.export_csv(date)
+            if exported != expected_csv[date]:
+                raise RuntimeError(
+                    f"warehouse leg: export for {date} is not "
+                    "byte-identical to labels_to_csv"
+                )
+            csv_paths[date] = os.path.join(root, f"labels-{date}.csv")
+            with open(csv_paths[date], "w") as handle:
+                handle.write(exported)
 
         warehouse.close()
         started = time.perf_counter()
@@ -774,15 +777,15 @@ def _bench_warehouse(args: argparse.Namespace, archive) -> dict:
         started = time.perf_counter()
         for _ in range(query_reps):
             csv_rows = [
-                (date, record)
-                for date in dates
-                for record in database.load_day(date)
-                if record.taxonomy == "anomalous"
+                (date, row)
+                for date, path in csv_paths.items()
+                for row in read_labels_csv(path)
+                if row["taxonomy"] == "anomalous"
             ]
         csv_seconds = time.perf_counter() - started
         # The CSV path yields one row per (community, rule); the
         # warehouse one per community — compare matched communities.
-        csv_hits = {(date, record.community_id) for date, record in csv_rows}
+        csv_hits = {(date, row["community"]) for date, row in csv_rows}
         if len(csv_hits) != len(rows):
             raise RuntimeError(
                 "warehouse leg: mmap query and CSV scan disagree "
@@ -839,8 +842,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import ArchiveScheduler, LabelServer, LabelingService
 
-    if args.schedule is not None and not args.db_root:
-        print("error: --schedule requires --db-root", file=sys.stderr)
+    if args.schedule is not None and not args.warehouse_root:
+        print(
+            "error: --schedule requires --warehouse-root", file=sys.stderr
+        )
         return 2
 
     service = LabelingService(
@@ -849,7 +854,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         window=args.window,
         hop=args.hop,
         max_ring_packets=args.max_ring_packets,
-        db_root=args.db_root,
         warehouse_root=args.warehouse_root,
     )
     # SIGTERM/SIGINT drain the pool and unlink shm before dying.
@@ -870,11 +874,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         scheduler = ArchiveScheduler(
             archive,
             _month_dates(args.start, args.months),
-            args.db_root,
+            service.warehouse,
             session=service.session,
             cache_dir=args.cache_dir,
-            index=service.index,
-            warehouse=service.warehouse,
         )
 
         def _progress(outcome) -> None:
@@ -1487,22 +1489,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="process-pool size shared by every feed (1 = in-process)",
     )
     serve.add_argument(
-        "--db-root",
-        help="LabelDatabase root; closed feeds and scheduled days "
-        "persist their label CSVs here",
-    )
-    serve.add_argument(
         "--warehouse-root",
         help="columnar label warehouse root; closed feeds and "
-        "scheduled days are dual-written there and /labels answers "
-        "ingested days zero-copy from mmap",
+        "scheduled days are stored there and /labels answers them "
+        "zero-copy from mmap",
     )
     serve.add_argument(
         "--schedule",
         type=float,
         metavar="SECONDS",
-        help="ingest archive days every SECONDS (requires --db-root; "
-        "resumable via the journal in the database root)",
+        help="ingest archive days every SECONDS (requires "
+        "--warehouse-root; resumable via the journal in its root)",
     )
     serve.add_argument(
         "--seed", type=int, default=2010, help="scheduled-archive seed"

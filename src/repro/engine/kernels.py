@@ -348,15 +348,21 @@ def _warehouse_select_numpy(
     t0=None,
     t1=None,
 ):
-    """Vectorized predicate pushdown over mapped label columns."""
+    """Vectorized predicate pushdown over mapped label columns.
+
+    Only the given predicates cost an array pass, which keeps small
+    serving-path queries cheap.
+    """
     n = len(columns["taxonomy_code"])
-    mask = np.ones(n, dtype=bool)
+    masks = []
     if taxonomy_code is not None:
-        mask &= np.asarray(columns["taxonomy_code"]) == int(taxonomy_code)
+        masks.append(
+            np.asarray(columns["taxonomy_code"]) == int(taxonomy_code)
+        )
     if t0 is not None:
-        mask &= np.asarray(columns["t1"]) >= float(t0)
+        masks.append(np.asarray(columns["t1"]) >= float(t0))
     if t1 is not None:
-        mask &= np.asarray(columns["t0"]) <= float(t1)
+        masks.append(np.asarray(columns["t0"]) <= float(t1))
     rule_record = np.asarray(columns["rule_record"])
     for value, key in (
         (src, "rule_src"),
@@ -366,11 +372,15 @@ def _warehouse_select_numpy(
     ):
         if value is None:
             continue
-        hits = rule_record[np.asarray(columns[key]) == int(value)]
         rule_mask = np.zeros(n, dtype=bool)
-        rule_mask[hits] = True
-        mask &= rule_mask
-    return np.nonzero(mask)[0].astype(np.int64)
+        rule_mask[rule_record[np.asarray(columns[key]) == int(value)]] = True
+        masks.append(rule_mask)
+    if not masks:
+        return np.arange(n, dtype=np.int64)
+    mask = masks[0]
+    for other in masks[1:]:
+        mask &= other
+    return np.nonzero(mask)[0]
 
 
 @PYTHON_ENGINE.register("warehouse_select")

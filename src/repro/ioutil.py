@@ -5,8 +5,8 @@ other processes may be reading concurrently: the text lands in a
 temporary file in the destination directory and moves into place with
 ``os.replace``, so a reader opening the path sees either the previous
 complete contents or the new complete contents — never a torn write.
-The batch workers' per-day label CSVs, the label database's day files
-and index, and the serve scheduler's journal all go through it.
+The batch workers' per-day label CSVs, the warehouse manifest and the
+serve scheduler's journal all go through it.
 """
 
 from __future__ import annotations

@@ -10,10 +10,13 @@
 * :mod:`repro.labeling.mawilab` — :class:`MAWILabPipeline`, the whole
   4-step method on one trace, plus the label records and CSV/XML
   writers that form the public database format.
-* :mod:`repro.labeling.warehouse` — :class:`Warehouse`, the versioned
-  memory-mapped columnar spill of :class:`LabelStore` /
-  ``AlarmTable`` with zero-copy cross-day queries and delta
-  recompute.
+* :mod:`repro.labeling.warehouse` — :class:`Warehouse`, the durable
+  label database: the versioned memory-mapped columnar spill of
+  :class:`LabelStore` / ``AlarmTable`` with zero-copy cross-day
+  queries, CSV export and delta recompute.
+* :mod:`repro.labeling.database` — ``LiveLabelIndex``, the in-memory
+  index of days still being labeled, queried through the warehouse's
+  own select-and-render loop.
 """
 
 from repro.labeling.heuristics import (
@@ -33,7 +36,6 @@ from repro.labeling.taxonomy import (
     assign_taxonomy,
     assign_taxonomy_batch,
 )
-from repro.labeling.database import LabelDatabase, StoredLabel
 from repro.labeling.store import LabelStore, taxonomy_counts
 from repro.labeling.mawilab import (
     LabelRecord,
@@ -58,8 +60,6 @@ __all__ = [
     "TAXONOMY_SUSPICIOUS",
     "assign_taxonomy",
     "assign_taxonomy_batch",
-    "LabelDatabase",
-    "StoredLabel",
     "LabelStore",
     "taxonomy_counts",
     "LabelRecord",

@@ -380,6 +380,44 @@ def labels_to_csv(labels: Sequence[LabelRecord]) -> str:
     return out.getvalue()
 
 
+def read_labels_csv(path) -> list[dict]:
+    """Parse a :func:`labels_to_csv` file back into typed rows.
+
+    One dict per (community, rule) line, keyed by the CSV header:
+    counts and times as numbers, ``detectors`` as a tuple, addresses
+    as integers, and empty rule fields as ``None``.  The warehouse
+    benchmarks time this text re-parse as their baseline.
+    """
+    import csv
+
+    from repro.net.addresses import ip_to_int
+
+    def opt(text: str, convert):
+        return convert(text) if text else None
+
+    with open(path, newline="") as handle:
+        return [
+            {
+                "community": int(row["community"]),
+                "taxonomy": row["taxonomy"],
+                "heuristic_category": row["heuristic_category"],
+                "heuristic_detail": row["heuristic_detail"],
+                "t0": float(row["t0"]),
+                "t1": float(row["t1"]),
+                "n_alarms": int(row["n_alarms"]),
+                "detectors": tuple(
+                    d for d in row["detectors"].split("|") if d
+                ),
+                "src": opt(row["src"], ip_to_int),
+                "sport": opt(row["sport"], int),
+                "dst": opt(row["dst"], ip_to_int),
+                "dport": opt(row["dport"], int),
+                "rule_support": opt(row["rule_support"], float) or 0.0,
+            }
+            for row in csv.DictReader(handle)
+        ]
+
+
 def labels_to_xml(labels: Sequence[LabelRecord], trace_name: str = "trace") -> str:
     """Render label records in an admd-flavoured XML document.
 

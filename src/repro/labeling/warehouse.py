@@ -1,11 +1,9 @@
 """The memory-mapped columnar label warehouse.
 
 MAWILab's artifact is a *longitudinal* database: years of labeled days
-queried across time.  The per-day CSV files of
-:class:`~repro.labeling.database.LabelDatabase` pay a full text parse
-per query; this module stores the same days as versioned, checksummed
-**columnar segments** — the raw arrays of
-:class:`~repro.labeling.store.LabelStore` and
+queried across time.  This module is its only durable store: it
+keeps each day as versioned, checksummed **columnar segments** — the
+raw arrays of :class:`~repro.labeling.store.LabelStore` and
 :class:`~repro.core.alarm_table.AlarmTable`, including the ragged
 detector/annotation/rule blocks and the string name pools — that open
 zero-copy via ``np.memmap``.
@@ -47,8 +45,11 @@ are read-only, so dropping them is always safe.
 Queries (:meth:`Warehouse.query`) push predicates — taxonomy, time
 overlap, rule src/dst/sport/dport — down onto the mapped columns via
 the paired ``"warehouse_select"`` engine kernels and only render the
-matching rows, in the JSON row shape of
-:class:`~repro.labeling.database.LiveLabelIndex`.
+matching rows (:func:`select_rows`).  The in-memory
+:class:`~repro.labeling.database.LiveLabelIndex` of open days keeps the
+same columns (:func:`label_columns`) and answers through the same
+loop.  Per-day CSV files are an export format
+(:meth:`Warehouse.export_csv`), byte-identical to ``repro label``.
 
 Delta recompute (:meth:`Warehouse.recompute`): the warehouse
 fingerprint digests (archive, ensemble, configuration).  A heuristics-
@@ -62,21 +63,21 @@ communities) reported.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from repro import codec
 from repro.core.alarm_table import AlarmTable
 from repro.engine import EngineSpec, resolve_engine
-from repro.errors import CodecError, WarehouseError
+from repro.errors import CodecError, LabelingError, TraceError, WarehouseError
 from repro.ioutil import write_atomic, write_atomic_bytes
-from repro.labeling.database import _address_code
 from repro.labeling.mawilab import LabelRecord, PipelineResult, labels_to_csv
 from repro.labeling.store import (
     LABEL_BOUND_COLUMNS,
@@ -85,22 +86,9 @@ from repro.labeling.store import (
     taxonomy_counts,
 )
 from repro.labeling.taxonomy import TAXONOMY_ORDER
-from repro.net.addresses import ip_to_str
+from repro.net.addresses import ip_to_int, ip_to_str
 
 _MANIFEST_NAME = "manifest.json"
-
-#: Per-record summary columns spilled next to the label columns so a
-#: decoded store round-trips ``CommunitySummary`` exactly.
-_SUMMARY_COLUMNS = ("s_rule_degree", "s_rule_support", "s_n_transactions")
-
-#: Flat per-rule columns (``-1`` = wildcard ``None``); ``r_record``
-#: maps each rule row back to its owning record for rule-predicate
-#: scatter without touching the ragged bounds.
-_RULE_COLUMNS = (
-    "r_record", "r_src", "r_sport", "r_dst", "r_dport",
-    "r_support", "r_count",
-)
-
 
 def warehouse_fingerprint(
     archive_fingerprint: str,
@@ -181,8 +169,18 @@ def _encode_rule_field(rules, attr: str) -> np.ndarray:
     )
 
 
-def encode_label_segment(store: LabelStore, meta: dict) -> bytearray:
-    """Spill a :class:`LabelStore` (summaries included) into bytes."""
+def label_columns(
+    store: LabelStore,
+) -> tuple[dict[str, np.ndarray], dict[str, tuple[str, ...]]]:
+    """One day's labels as named columns plus string pools.
+
+    The label segment layout: the store's numeric columns and ragged
+    bounds, the per-record summary metrics, and flat per-rule columns
+    (``-1`` = wildcard) whose ``r_record`` maps each rule to its
+    record.  The warehouse spills these columns to disk, the live
+    index keeps them in memory, and both answer queries from them
+    through :func:`select_rows`.
+    """
     n = len(store)
     rule_bounds = np.zeros(n + 1, dtype=np.int64)
     rules = []
@@ -191,56 +189,44 @@ def encode_label_segment(store: LabelStore, meta: dict) -> bytearray:
         rule_bounds[i + 1] = rule_bounds[i] + len(day_rules)
         rules.extend(day_rules)
     m = len(rules)
-    arrays = [(name, getattr(store, name)) for name in LABEL_COLUMNS]
-    arrays += [(name, getattr(store, name)) for name in LABEL_BOUND_COLUMNS]
-    arrays += [
-        (
-            "s_rule_degree",
-            np.fromiter(
-                (s.rule_degree for s in store.summaries), np.float64, count=n
-            ),
+    arrays = {
+        name: getattr(store, name)
+        for name in LABEL_COLUMNS + LABEL_BOUND_COLUMNS
+    }
+    arrays.update(
+        s_rule_degree=np.fromiter(
+            (s.rule_degree for s in store.summaries), np.float64, count=n
         ),
-        (
-            "s_rule_support",
-            np.fromiter(
-                (s.rule_support for s in store.summaries), np.float64, count=n
-            ),
+        s_rule_support=np.fromiter(
+            (s.rule_support for s in store.summaries), np.float64, count=n
         ),
-        (
-            "s_n_transactions",
-            np.fromiter(
-                (s.n_transactions for s in store.summaries),
-                np.int64,
-                count=n,
-            ),
+        s_n_transactions=np.fromiter(
+            (s.n_transactions for s in store.summaries), np.int64, count=n
         ),
-        ("rule_bounds", rule_bounds),
-        (
-            "r_record",
-            np.repeat(
-                np.arange(n, dtype=np.int64), rule_bounds[1:] - rule_bounds[:-1]
-            ),
+        rule_bounds=rule_bounds,
+        r_record=np.repeat(
+            np.arange(n, dtype=np.int64), rule_bounds[1:] - rule_bounds[:-1]
         ),
-        ("r_src", _encode_rule_field(rules, "src")),
-        ("r_sport", _encode_rule_field(rules, "sport")),
-        ("r_dst", _encode_rule_field(rules, "dst")),
-        ("r_dport", _encode_rule_field(rules, "dport")),
-        (
-            "r_support",
-            np.fromiter((r.support for r in rules), np.float64, count=m),
-        ),
-        (
-            "r_count",
-            np.fromiter((r.count for r in rules), np.int64, count=m),
-        ),
-    ]
+        r_src=_encode_rule_field(rules, "src"),
+        r_sport=_encode_rule_field(rules, "sport"),
+        r_dst=_encode_rule_field(rules, "dst"),
+        r_dport=_encode_rule_field(rules, "dport"),
+        r_support=np.fromiter((r.support for r in rules), np.float64, count=m),
+        r_count=np.fromiter((r.count for r in rules), np.int64, count=m),
+    )
     pools = {
         "categories": store.categories,
         "details": store.details,
         "detector_names": store.detector_names,
         "annotation_tags": store.annotation_tags,
     }
-    return codec.encode("labels", arrays, pools, meta)
+    return arrays, pools
+
+
+def encode_label_segment(store: LabelStore, meta: dict) -> bytearray:
+    """Spill a :class:`LabelStore` (summaries included) into bytes."""
+    arrays, pools = label_columns(store)
+    return codec.encode("labels", list(arrays.items()), pools, meta)
 
 
 def label_store_from_segment(segment: Segment) -> LabelStore:
@@ -458,8 +444,11 @@ class Warehouse:
         Returns the label segment path.  Segment files are published
         atomically and the manifest (bytes + SHA-256 per file) last, so
         a crash mid-store leaves the previous manifest pointing only at
-        complete files.
+        complete files.  ``date`` names the segment files, so it must
+        be a plain file-name component (no separators, no leading dot).
         """
+        if not date or date.startswith(".") or os.path.basename(date) != date:
+            raise WarehouseError(f"bad day key {date!r}")
         version, entry = self._version_entry(version)
         store = (
             labels
@@ -548,6 +537,20 @@ class Warehouse:
             return False
         _, entry = self._version_entry(version)
         return date in entry["days"]
+
+    def latest_days(self, config: str) -> dict[str, str]:
+        """Date -> the newest version made under ``config`` holding it.
+
+        Independent of the current pointer: a serving daemon answers
+        every day it committed (scheduled or fed, each kind in its own
+        version) from here, whichever version was activated last.
+        """
+        days: dict[str, str] = {}
+        for version in self.versions():
+            entry = self._manifest["versions"][version]
+            if entry.get("config") == config:
+                days.update(dict.fromkeys(entry["days"], version))
+        return days
 
     def _segment(
         self,
@@ -644,21 +647,12 @@ class Warehouse:
     ) -> list[dict]:
         """Cross-day label rows matching every given predicate.
 
-        Scans the mapped columns of each day in date order through the
-        ``"warehouse_select"`` kernel and renders only the selected
-        rows (the :class:`LiveLabelIndex` JSON row shape).  ``date``
-        restricts to one day; otherwise ``date_from`` / ``date_to``
-        bound the inclusive ISO date range.
+        Scans the mapped columns of each day in date order through
+        :func:`select_rows` — the loop the live index answers with
+        too.  ``date`` restricts to one day; otherwise ``date_from`` /
+        ``date_to`` bound the inclusive ISO date range.  Bad
+        predicates raise :class:`~repro.errors.WarehouseError`.
         """
-        engine = resolve_engine(engine, what="warehouse")
-        taxonomy_code = None
-        if taxonomy is not None:
-            if taxonomy not in TAXONOMY_ORDER:
-                raise WarehouseError(
-                    f"unknown taxonomy {taxonomy!r}; "
-                    f"known: {list(TAXONOMY_ORDER)}"
-                )
-            taxonomy_code = TAXONOMY_ORDER.index(taxonomy)
         if date is not None:
             dates = [date] if self.has_day(date, version) else []
         else:
@@ -668,36 +662,21 @@ class Warehouse:
                 if (date_from is None or d >= date_from)
                 and (date_to is None or d <= date_to)
             ]
-        select = engine.kernel("warehouse_select")
-        rows: list[dict] = []
-        for day in dates:
-            segment = self.open_labels(day, version)
-            arrays = segment.arrays
-            columns = {
-                "taxonomy_code": arrays["taxonomy_code"],
-                "t0": arrays["t0"],
-                "t1": arrays["t1"],
-                "rule_record": arrays["r_record"],
-                "rule_src": arrays["r_src"],
-                "rule_dst": arrays["r_dst"],
-                "rule_sport": arrays["r_sport"],
-                "rule_dport": arrays["r_dport"],
-            }
-            selected = select(
-                columns,
-                taxonomy_code=taxonomy_code,
-                src=None if src is None else _address_code(src),
-                dst=None if dst is None else _address_code(dst),
-                sport=None if sport is None else int(sport),
-                dport=None if dport is None else int(dport),
+        try:
+            return select_rows(
+                ((day, self.open_labels(day, version)) for day in dates),
+                taxonomy=taxonomy,
+                src=src,
+                dst=dst,
+                sport=sport,
+                dport=dport,
                 t0=t0,
                 t1=t1,
+                limit=limit,
+                engine=engine,
             )
-            for i in selected:
-                rows.append(_segment_row(segment, day, int(i)))
-                if limit is not None and len(rows) >= limit:
-                    return rows
-        return rows
+        except LabelingError as exc:
+            raise WarehouseError(str(exc)) from exc
 
     def stats(self, version: Optional[str] = None) -> dict:
         """Per-day and total counts, from the manifest alone."""
@@ -890,51 +869,139 @@ class Warehouse:
         )
 
 
-def _segment_row(segment: Segment, date: str, index: int) -> dict:
-    """Render one selected row straight from mapped columns.
+# -- the query loop ----------------------------------------------------
 
-    Shape-identical to
-    :func:`repro.labeling.database._label_row` — the serve layer
-    answers from either source interchangeably — but built from the
-    columns, never through a :class:`LabelRecord`.
+
+def _address_code(value: Union[str, int]) -> int:
+    """Normalize a query address (dotted quad or integer) to its code."""
+    if isinstance(value, int):
+        return value
+    text = str(value)
+    try:
+        return ip_to_int(text) if "." in text else int(text)
+    except (TraceError, ValueError) as exc:
+        raise LabelingError(f"bad address {value!r}") from exc
+
+
+def select_rows(
+    days: Iterable[tuple[str, object]],
+    *,
+    taxonomy: Optional[str] = None,
+    src: Optional[Union[str, int]] = None,
+    dst: Optional[Union[str, int]] = None,
+    sport: Optional[int] = None,
+    dport: Optional[int] = None,
+    t0: Optional[float] = None,
+    t1: Optional[float] = None,
+    limit: Optional[int] = None,
+    engine: EngineSpec = None,
+) -> list[dict]:
+    """Label rows matching every given predicate, day by day.
+
+    ``days`` yields ``(date, day)`` pairs in answer order, where
+    ``day`` holds one date's :func:`label_columns` as ``arrays`` and
+    ``pools`` — a mapped :class:`Segment` or a live in-memory day.
+    Each day is scanned by the ``"warehouse_select"`` kernel and only
+    the selected rows are rendered.  ``taxonomy`` is one of the
+    paper's three labels; ``src`` / ``dst`` (dotted quad or integer)
+    and ``sport`` / ``dport`` match labels whose concise rules pin
+    that value; ``t0`` / ``t1`` keep labels whose span overlaps
+    ``[t0, t1]``; at most ``limit`` rows come back.  Bad predicates
+    raise :class:`~repro.errors.LabelingError`.
     """
-    arrays = segment.arrays
-    pools = segment.pools
-    lo = int(arrays["detector_bounds"][index])
-    hi = int(arrays["detector_bounds"][index + 1])
-    rlo = int(arrays["rule_bounds"][index])
-    rhi = int(arrays["rule_bounds"][index + 1])
+    taxonomy_code = None
+    if taxonomy is not None:
+        if taxonomy not in TAXONOMY_ORDER:
+            raise LabelingError(
+                f"unknown taxonomy {taxonomy!r}; "
+                f"known: {list(TAXONOMY_ORDER)}"
+            )
+        taxonomy_code = TAXONOMY_ORDER.index(taxonomy)
+    if limit is not None and limit < 0:
+        raise LabelingError(f"limit must be >= 0, got {limit}")
+    predicates = dict(
+        taxonomy_code=taxonomy_code,
+        src=None if src is None else _address_code(src),
+        dst=None if dst is None else _address_code(dst),
+        sport=None if sport is None else int(sport),
+        dport=None if dport is None else int(dport),
+        t0=t0,
+        t1=t1,
+    )
+    select = resolve_engine(engine, what="label query").kernel(
+        "warehouse_select"
+    )
+    rows: list[dict] = []
+    for date, day in days:
+        if limit is not None and len(rows) >= limit:
+            break
+        arrays = day.arrays
+        selected = select(
+            {
+                "taxonomy_code": arrays["taxonomy_code"],
+                "t0": arrays["t0"],
+                "t1": arrays["t1"],
+                "rule_record": arrays["r_record"],
+                "rule_src": arrays["r_src"],
+                "rule_dst": arrays["r_dst"],
+                "rule_sport": arrays["r_sport"],
+                "rule_dport": arrays["r_dport"],
+            },
+            **predicates,
+        )
+        if limit is not None:
+            selected = selected[: limit - len(rows)]
+        rows += [
+            _render_row(arrays, day.pools, date, i) for i in selected.tolist()
+        ]
+    return rows
 
-    def opt_addr(column: str, j: int) -> Optional[str]:
-        value = int(arrays[column][j])
-        return None if value < 0 else ip_to_str(value)
 
-    def opt_port(column: str, j: int) -> Optional[int]:
-        value = int(arrays[column][j])
-        return None if value < 0 else value
+#: Dotted-quad rendering of rule addresses; hosts repeat across labels
+#: and queries, so the bounded cache turns most renders into a lookup.
+_dotted_quad = functools.lru_cache(maxsize=4096)(ip_to_str)
 
+
+def _render_row(arrays, pools, date: str, index: int) -> dict:
+    """One query-result row (JSON-shaped; rules nested per label),
+    read straight from the columns, never through a
+    :class:`LabelRecord`."""
+    detector_bounds = arrays["detector_bounds"]
+    rule_bounds = arrays["rule_bounds"]
+    src, sport, dst, dport, support = (
+        arrays[name]
+        for name in ("r_src", "r_sport", "r_dst", "r_dport", "r_support")
+    )
+    rules = []
+    for j in range(rule_bounds.item(index), rule_bounds.item(index + 1)):
+        rule_src, rule_dst = src.item(j), dst.item(j)
+        rule_sport, rule_dport = sport.item(j), dport.item(j)
+        rules.append(
+            {
+                "src": None if rule_src < 0 else _dotted_quad(rule_src),
+                "sport": None if rule_sport < 0 else rule_sport,
+                "dst": None if rule_dst < 0 else _dotted_quad(rule_dst),
+                "dport": None if rule_dport < 0 else rule_dport,
+                "support": support.item(j),
+            }
+        )
     return {
         "date": date,
-        "community": int(arrays["community_id"][index]),
-        "taxonomy": TAXONOMY_ORDER[int(arrays["taxonomy_code"][index])],
+        "community": arrays["community_id"].item(index),
+        "taxonomy": TAXONOMY_ORDER[arrays["taxonomy_code"].item(index)],
         "heuristic_category": pools["categories"][
-            int(arrays["category_code"][index])
+            arrays["category_code"].item(index)
         ],
         "heuristic_detail": pools["details"][
-            int(arrays["detail_code"][index])
+            arrays["detail_code"].item(index)
         ],
-        "t0": float(arrays["t0"][index]),
-        "t1": float(arrays["t1"][index]),
-        "n_alarms": int(arrays["n_alarms"][index]),
-        "detectors": list(pools["detector_names"][lo:hi]),
-        "rules": [
-            {
-                "src": opt_addr("r_src", j),
-                "sport": opt_port("r_sport", j),
-                "dst": opt_addr("r_dst", j),
-                "dport": opt_port("r_dport", j),
-                "support": float(arrays["r_support"][j]),
-            }
-            for j in range(rlo, rhi)
-        ],
+        "t0": arrays["t0"].item(index),
+        "t1": arrays["t1"].item(index),
+        "n_alarms": arrays["n_alarms"].item(index),
+        "detectors": list(
+            pools["detector_names"][
+                detector_bounds.item(index) : detector_bounds.item(index + 1)
+            ]
+        ),
+        "rules": rules,
     }

@@ -103,9 +103,18 @@ def apriori(
     counts: Counter = Counter()
     for t in sets:
         counts.update(t)
-    frequent: dict[frozenset, int] = {
-        frozenset([item]): c for item, c in counts.items() if c >= min_count
-    }
+    # Frequent items in first-seen order, the items of one transaction
+    # in sorted order.  That order breaks (size, count) ties
+    # downstream, so it must not follow hash order (PYTHONHASHSEED).
+    unseen = {item for item, c in counts.items() if c >= min_count}
+    frequent: dict[frozenset, int] = {}
+    for t in sets:
+        if not unseen:
+            break
+        new = t & unseen
+        for item in sorted(new):
+            frequent[frozenset([item])] = counts[item]
+        unseen -= new
     all_frequent = dict(frequent)
     current = list(frequent)
 
@@ -136,14 +145,15 @@ def apriori(
     return AprioriResult(itemsets=itemsets, n_transactions=n)
 
 
-def _generate_candidates(previous: list[frozenset], size: int) -> set[frozenset]:
+def _generate_candidates(previous: list[frozenset], size: int) -> list[frozenset]:
     """Join step: merge (size-1)-itemsets sharing (size-2) items.
 
     Includes the prune step — every (size-1)-subset of a candidate must
-    itself be frequent.
+    itself be frequent.  Candidates keep insertion order (a dict, not a
+    set), so their order is as deterministic as ``previous``.
     """
     previous_set = set(previous)
-    candidates: set[frozenset] = set()
+    candidates: dict[frozenset, None] = {}
     for a, b in combinations(previous, 2):
         union = a | b
         if len(union) != size:
@@ -154,8 +164,8 @@ def _generate_candidates(previous: list[frozenset], size: int) -> set[frozenset]
             frozenset(sub) in previous_set
             for sub in combinations(union, size - 1)
         ):
-            candidates.add(union)
-    return candidates
+            candidates[union] = None
+    return list(candidates)
 
 
 def coverage(

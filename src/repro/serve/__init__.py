@@ -9,10 +9,11 @@ into that always-on shape:
   backpressure, sharded over the session's persistent worker pool;
 * :mod:`repro.serve.scheduler` — :class:`ArchiveScheduler`, the
   resumable daily-ingest loop walking archive days into the
-  :class:`~repro.labeling.database.LabelDatabase` with a crash journal;
+  :class:`~repro.labeling.warehouse.Warehouse` with a crash journal;
 * :mod:`repro.serve.http` — the stdlib-only HTTP/JSON surface
   (``/labels``, ``/feeds``, ``/health``, ``/metrics``) over the
-  :class:`~repro.labeling.database.LiveLabelIndex`.
+  warehouse (committed days) and the
+  :class:`~repro.labeling.database.LiveLabelIndex` (open days).
 """
 
 from repro.serve.daemon import Feed, LabelingService

@@ -22,9 +22,18 @@ Commit path
 As each window is labeled, the feed publishes its merged label store
 into the service's :class:`~repro.labeling.database.LiveLabelIndex`,
 so queries observe fresh labels without ever touching the pipeline;
-when a feed closes (end of stream), the final store is optionally
-persisted into the on-disk
-:class:`~repro.labeling.database.LabelDatabase`.
+when a feed closes (end of stream), the final store is committed to
+the service's :class:`~repro.labeling.warehouse.Warehouse` when it has
+one.
+
+Read rule
+---------
+A date the service committed to its warehouse — by the archive
+scheduler or by a feed close, in this run or an earlier one with the
+same configuration — answers from the warehouse; every other date
+answers from the live index.  JSON rows, ``format=csv``, the all-days
+query and ``/health``'s ``warehouse_days`` all follow that rule, and
+none depends on which version the manifest's current pointer names.
 
 Shutdown
 --------
@@ -43,7 +52,9 @@ from typing import Optional, Sequence
 
 from repro.engine import EngineSpec
 from repro.errors import ServeError
-from repro.labeling.database import LabelDatabase, LiveLabelIndex
+from repro.labeling.database import LiveLabelIndex
+from repro.labeling.mawilab import labels_to_csv
+from repro.labeling.warehouse import Warehouse, warehouse_fingerprint
 from repro.net.table import PacketTable
 from repro.net.trace import TraceMetadata
 from repro.runner.config import PipelineConfig
@@ -299,16 +310,12 @@ class LabelingService:
     max_ring_packets:
         Default per-feed ingest-ring capacity; a full ring blocks the
         feed's producer (backpressure) instead of growing memory.
-    db_root:
-        Optional :class:`~repro.labeling.database.LabelDatabase` root;
-        when set, each feed's final labels are persisted there on
-        close (atomic day files + index).
     warehouse_root:
         Optional :class:`~repro.labeling.warehouse.Warehouse` root;
-        when set, fully-ingested days (scheduler dual-writes, feed
-        closes) answer ``/labels`` from memory-mapped columns instead
-        of the live index, and closing feeds persist their day there
-        too.
+        when set, closing feeds commit their day there, and every day
+        committed under this configuration (feed closes, scheduled
+        archive days) answers ``/labels`` from memory-mapped columns
+        instead of the live index.
     """
 
     def __init__(
@@ -320,16 +327,12 @@ class LabelingService:
         window: float = 30.0,
         hop: Optional[float] = None,
         max_ring_packets: int = 65536,
-        db_root: Optional[str] = None,
         warehouse_root: Optional[str] = None,
     ) -> None:
-        from repro.labeling.warehouse import Warehouse
-
         self.session = LabelingSession(
             config=config, engine=engine, workers=workers
         )
         self.index = LiveLabelIndex()
-        self.database = LabelDatabase(db_root) if db_root else None
         self.warehouse = (
             Warehouse(warehouse_root) if warehouse_root else None
         )
@@ -428,16 +431,13 @@ class LabelingService:
         self.feed(name).push(table, timeout=timeout)
 
     def close_feed(self, name: str, timeout: Optional[float] = None) -> dict:
-        """Drain and close one feed; persist its day when configured."""
+        """Drain and close one feed; commit its day to the warehouse."""
         feed = self.feed(name)
         status = feed.close(timeout=timeout)
         if feed.state == "failed":
             raise ServeError(
                 f"feed {name!r} failed while labeling: {feed.error}"
             )
-        if self.database is not None:
-            store = self.index.store_for(feed.date)
-            self.database.store_day_labels(feed.date, store)
         if self.warehouse is not None:
             self.warehouse.store_day(
                 feed.date,
@@ -452,40 +452,33 @@ class LabelingService:
         return [feed.status() for feed in feeds]
 
     # -- label reads ---------------------------------------------------
-    #
-    # The query fast path: a date fully ingested into the warehouse
-    # answers from its memory-mapped columns (no CSV parse, no record
-    # materialization beyond the selected rows); anything else falls
-    # back to the live index of in-flight days.
 
     def _warehouse_version(self) -> str:
-        """The warehouse version feed-persisted days land in.
+        """The warehouse version feed-committed days land in.
 
         Keyed like the scheduler's version digest, with the archive
         slot pinned to ``"live"`` — feeds have no archive fingerprint.
         """
-        from repro.labeling.warehouse import warehouse_fingerprint
-
+        ensemble = self.session.pipeline.ensemble_fingerprint()
+        config = repr(self.session.config)
         return self.warehouse.ensure_version(
-            warehouse_fingerprint(
-                "live",
-                self.session.pipeline.ensemble_fingerprint(),
-                repr(self.session.config),
-            ),
-            ensemble_fingerprint=(
-                self.session.pipeline.ensemble_fingerprint()
-            ),
-            config=repr(self.session.config),
+            warehouse_fingerprint("live", ensemble, config),
+            ensemble_fingerprint=ensemble,
+            config=config,
         )
 
-    def labels_csv(self, date: str) -> str:
-        """One day's labels as CSV, warehouse-first."""
-        if self.warehouse is not None and self.warehouse.has_day(date):
-            return self.warehouse.export_csv(date)
-        store = self.index.store_for(date)
-        from repro.labeling.mawilab import labels_to_csv
+    def _committed(self) -> dict[str, str]:
+        """Date -> warehouse version of every committed day."""
+        if self.warehouse is None:
+            return {}
+        return self.warehouse.latest_days(repr(self.session.config))
 
-        return labels_to_csv(store.to_records())
+    def labels_csv(self, date: str) -> str:
+        """One day's labels as CSV (byte-identical to ``repro label``)."""
+        version = self._committed().get(date)
+        if version is not None:
+            return self.warehouse.export_csv(date, version)
+        return labels_to_csv(self.index.store_for(date).to_records())
 
     def query_labels(
         self,
@@ -499,43 +492,39 @@ class LabelingService:
         t1: Optional[float] = None,
         limit: Optional[int] = None,
     ) -> list[dict]:
-        """Label rows matching the predicates, warehouse-first.
-
-        A named date that is fully ingested scans mmap columns; other
-        dates (and the all-days query) use the live index, which does
-        not support the warehouse-only ``sport`` / ``dport`` filters.
-        """
-        from repro.errors import LabelingError
-
-        if (
-            self.warehouse is not None
-            and date is not None
-            and self.warehouse.has_day(date)
-        ):
-            return self.warehouse.query(
-                date=date,
-                taxonomy=taxonomy,
-                src=src,
-                dst=dst,
-                sport=sport,
-                dport=dport,
-                t0=t0,
-                t1=t1,
-                limit=limit,
-            )
-        if sport is not None or dport is not None:
-            raise LabelingError(
-                "sport/dport filters require a warehouse-ingested date"
-            )
-        return self.index.query(
-            date=date,
+        """Label rows matching the predicates, one date (or all dates,
+        in order) at a time, each from the source the read rule names."""
+        committed = self._committed()
+        if date is None:
+            dates = sorted(set(committed) | set(self.index.dates()))
+        else:
+            dates = [date]
+        predicates = dict(
             taxonomy=taxonomy,
             src=src,
             dst=dst,
+            sport=sport,
+            dport=dport,
             t0=t0,
             t1=t1,
-            limit=limit,
         )
+        rows: list[dict] = []
+        for day in dates:
+            remaining = None if limit is None else limit - len(rows)
+            if remaining == 0:
+                break
+            if day in committed:
+                rows += self.warehouse.query(
+                    date=day,
+                    version=committed[day],
+                    limit=remaining,
+                    **predicates,
+                )
+            else:
+                rows += self.index.query(
+                    date=day, limit=remaining, **predicates
+                )
+        return rows
 
     # -- reporting -----------------------------------------------------
 
@@ -555,12 +544,7 @@ class LabelingService:
             "feeds_open": open_feeds,
             "feeds_failed": failed,
             "days_published": len(self.index.dates()),
-            "warehouse_days": (
-                len(self.warehouse.dates())
-                if self.warehouse is not None
-                and self.warehouse.current_version is not None
-                else 0
-            ),
+            "warehouse_days": len(self._committed()),
         }
 
     def metrics(self) -> dict:

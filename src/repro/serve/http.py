@@ -14,9 +14,9 @@ Routes
 ``GET /feeds``
     Per-feed status (state, packets in, windows labeled, queue).
 ``GET /labels``
-    Query the live index: ``date``, ``taxonomy``, ``src``, ``dst``,
-    ``t0``, ``t1``, ``limit`` filters; ``format=csv`` renders the
-    day's full store through
+    Query labels: ``date``, ``taxonomy``, ``src``, ``dst``, ``sport``,
+    ``dport``, ``t0``, ``t1``, ``limit`` filters; ``format=csv``
+    renders the day's full store through
     :func:`~repro.labeling.mawilab.labels_to_csv`, byte-identical to
     the offline ``repro label`` CSV for a fully ingested day.
 ``POST /feeds/<name>``
@@ -31,8 +31,12 @@ Routes
 ``POST /feeds/<name>/close``
     Drain and close a feed; returns its final status.
 
-Queries never touch the pipeline: ``/labels`` reads the
-:class:`~repro.labeling.database.LiveLabelIndex` snapshot only.
+Queries never touch the pipeline: ``/labels`` reads the service's
+warehouse for committed days and the
+:class:`~repro.labeling.database.LiveLabelIndex` snapshot for open
+ones (see :mod:`repro.serve.daemon`).  Malformed input — an
+unparseable ``Content-Length``, a bad address or number, a negative
+``limit`` — is a 400, never a dropped connection or a 500.
 """
 
 from __future__ import annotations
@@ -87,6 +91,10 @@ def rows_to_table(rows: list[list[float]]) -> PacketTable:
 def _query_param(params: dict, name: str) -> Optional[str]:
     values = params.get(name)
     return values[-1] if values else None
+
+
+def _error_body(message: str) -> str:
+    return json.dumps({"error": message}) + "\n"
 
 
 class _HTTPError(Exception):
@@ -204,6 +212,20 @@ class LabelServer:
                     request = await self._read_request(reader)
                 except asyncio.IncompleteReadError:
                     break
+                except _HTTPError as exc:
+                    # An unframeable request: answer it, then drop the
+                    # connection — where the next request starts is
+                    # unknown.
+                    self.requests += 1
+                    self.errors += 1
+                    await self._respond(
+                        writer,
+                        exc.status,
+                        _error_body(exc.message),
+                        "application/json",
+                        keep_alive=False,
+                    )
+                    break
                 if request is None:
                     break
                 method, path, body, keep_alive = request
@@ -215,17 +237,12 @@ class LabelServer:
                 except _HTTPError as exc:
                     self.errors += 1
                     status = exc.status
-                    payload = json.dumps({"error": exc.message}) + "\n"
+                    payload = _error_body(exc.message)
                     content_type = "application/json"
                 except Exception as exc:  # noqa: BLE001 - server isolation
                     self.errors += 1
                     status = 500
-                    payload = (
-                        json.dumps(
-                            {"error": f"{type(exc).__name__}: {exc}"}
-                        )
-                        + "\n"
-                    )
+                    payload = _error_body(f"{type(exc).__name__}: {exc}")
                     content_type = "application/json"
                 await self._respond(
                     writer, status, payload, content_type, keep_alive
@@ -255,7 +272,13 @@ class LabelServer:
                 break
             name, _, value = text.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _HTTPError(400, f"bad Content-Length {raw_length!r}")
         if length > _MAX_REQUEST_BYTES:
             raise _HTTPError(413, "request body too large")
         body = await reader.readexactly(length) if length else b""
@@ -351,8 +374,6 @@ class LabelServer:
             if not date:
                 raise _HTTPError(400, "format=csv requires date=")
             try:
-                # Warehouse-first: a fully-ingested day renders from
-                # its mmap columns, not the live index.
                 return 200, self.service.labels_csv(date), "text/csv"
             except LabelingError as exc:
                 raise _HTTPError(404, str(exc)) from exc

@@ -1,10 +1,10 @@
-"""Resumable daily ingest: archive days into the label database.
+"""Resumable daily ingest: archive days into the label warehouse.
 
-MAWILab's public artifact is a database of *daily* label files kept
-current as new trace days appear.  :class:`ArchiveScheduler` is that
-loop: it walks an archive's dates on a cadence, labels each day once,
-and versions the outputs into a
-:class:`~repro.labeling.database.LabelDatabase` — with a crash journal
+MAWILab's public artifact is a database of *daily* labels kept current
+as new trace days appear.  :class:`ArchiveScheduler` is that loop: it
+walks an archive's dates on a cadence, labels each day once, and
+versions the outputs into a
+:class:`~repro.labeling.warehouse.Warehouse` — with a crash journal
 (:class:`IngestJournal`) so a restarted scheduler resumes mid-archive
 instead of re-labeling completed days, and an
 :class:`~repro.runner.cache.AlarmCache` so even a forced re-run skips
@@ -28,7 +28,6 @@ from typing import Callable, Optional, Sequence
 from repro.engine import EngineSpec
 from repro.errors import ServeError
 from repro.ioutil import write_atomic
-from repro.labeling.database import LabelDatabase, LiveLabelIndex
 from repro.labeling.warehouse import (
     Warehouse,
     archive_meta,
@@ -118,7 +117,6 @@ class DayOutcome:
     elapsed: float = 0.0
     cache_hit: bool = False
     error: Optional[str] = None
-    csv_path: Optional[str] = None
 
     def describe(self) -> str:
         extra = " (cache hit)" if self.cache_hit else ""
@@ -141,7 +139,7 @@ class SchedulerStats:
 
 
 class ArchiveScheduler:
-    """Walk archive days into the label database, resumably.
+    """Walk archive days into the label warehouse, resumably.
 
     Parameters
     ----------
@@ -150,9 +148,11 @@ class ArchiveScheduler:
         :class:`~repro.mawi.archive.SyntheticArchive` contract).
     dates:
         The dates this scheduler is responsible for, in ingest order.
-    database:
-        Target :class:`~repro.labeling.database.LabelDatabase` (or a
-        root path string).
+    warehouse:
+        Target :class:`~repro.labeling.warehouse.Warehouse` (or a root
+        path string); each completed day is stored there as columnar
+        segments, in the version keyed by the digest of (archive,
+        ensemble, configuration).
     session:
         Optional shared :class:`~repro.session.LabelingSession`; when
         omitted one is built from ``config``/``engine`` and owned (and
@@ -163,16 +163,7 @@ class ArchiveScheduler:
         the detection ensemble entirely.
     journal_path:
         Where the :class:`IngestJournal` lives; defaults to
-        ``<database root>/ingest-journal.json``.
-    index:
-        Optional :class:`~repro.labeling.database.LiveLabelIndex` to
-        publish each completed day into (the serving daemon's index),
-        so scheduled days become queryable without a restart.
-    warehouse:
-        Optional :class:`~repro.labeling.warehouse.Warehouse` (or root
-        path); each completed day is dual-written there as columnar
-        segments alongside the CSV, so archived days answer queries
-        zero-copy from mmap instead of re-parsing text.
+        ``<warehouse root>/ingest-journal.json``.
     max_retries:
         Extra attempts per day per pass after the first failure.
     backoff:
@@ -190,15 +181,13 @@ class ArchiveScheduler:
         self,
         archive,
         dates: Sequence[str],
-        database: LabelDatabase | str,
+        warehouse: Warehouse | str,
         *,
         session: Optional[LabelingSession] = None,
         config: Optional[PipelineConfig] = None,
         engine: EngineSpec = None,
         cache_dir: Optional[str] = None,
         journal_path: Optional[str | Path] = None,
-        index: Optional[LiveLabelIndex] = None,
-        warehouse: Optional[Warehouse | str] = None,
         max_retries: int = 2,
         backoff: float = 0.05,
         sleep: Callable[[float], None] = time.sleep,
@@ -206,44 +195,34 @@ class ArchiveScheduler:
     ) -> None:
         self.archive = archive
         self.dates = list(dates)
-        self.database = (
-            database
-            if isinstance(database, LabelDatabase)
-            else LabelDatabase(database)
+        self.warehouse = (
+            warehouse
+            if isinstance(warehouse, Warehouse)
+            else Warehouse(warehouse)
         )
         self._owns_session = session is None
         self.session = session or LabelingSession(
             config=config, engine=engine
         )
         self.cache = AlarmCache(cache_dir) if cache_dir else None
-        self.index = index
         self.max_retries = max_retries
         self.backoff = backoff
         self.sleep = sleep
         self.journal = IngestJournal(
             journal_path
             if journal_path is not None
-            else Path(self.database.root) / "ingest-journal.json"
+            else self.warehouse.root / "ingest-journal.json"
         )
         self.version = version or self._default_version()
-        self.warehouse = (
-            warehouse
-            if warehouse is None or isinstance(warehouse, Warehouse)
-            else Warehouse(warehouse)
+        # The warehouse version is keyed by the same digest as the
+        # default scheduler version, so a recompute under an unchanged
+        # configuration lands in the same version.
+        self.warehouse_version = self.warehouse.ensure_version(
+            self._default_version(),
+            ensemble_fingerprint=self.session.pipeline.ensemble_fingerprint(),
+            config=repr(self.session.config),
+            archive=archive_meta(self.archive),
         )
-        self.warehouse_version: Optional[str] = None
-        if self.warehouse is not None:
-            # Dual-write target: the warehouse version is keyed by the
-            # same digest as the scheduler version, so a recompute under
-            # an unchanged configuration lands in the same version.
-            self.warehouse_version = self.warehouse.ensure_version(
-                self._default_version(),
-                ensemble_fingerprint=(
-                    self.session.pipeline.ensemble_fingerprint()
-                ),
-                config=repr(self.session.config),
-                archive=archive_meta(self.archive),
-            )
         self.stats = SchedulerStats()
 
     def _default_version(self) -> str:
@@ -269,7 +248,7 @@ class ArchiveScheduler:
         progress: Optional[Callable[[DayOutcome], None]] = None,
     ) -> list[DayOutcome]:
         """Ingest every pending day (up to ``limit``); one journal
-        entry and one versioned day file per success."""
+        entry and one stored warehouse day per success."""
         outcomes: list[DayOutcome] = []
         pending = self.pending()
         if limit is not None:
@@ -310,7 +289,7 @@ class ArchiveScheduler:
                 self.sleep(self.backoff * (2 ** (attempts - 1)))
             attempts += 1
             try:
-                cache_hit, csv_path = self._label_day(date)
+                cache_hit = self._label_day(date)
             except Exception as exc:  # noqa: BLE001 - per-day isolation
                 last_error = f"{type(exc).__name__}: {exc}"
                 continue
@@ -321,7 +300,6 @@ class ArchiveScheduler:
                 attempts=attempts,
                 elapsed=time.perf_counter() - started,
                 cache_hit=cache_hit,
-                csv_path=csv_path,
             )
         self.journal.record(
             date, "failed", self.version, attempts, error=last_error
@@ -334,7 +312,8 @@ class ArchiveScheduler:
             error=last_error,
         )
 
-    def _label_day(self, date: str) -> tuple[bool, str]:
+    def _label_day(self, date: str) -> bool:
+        """Label and store one day; whether Step 1 came from the cache."""
         day = self.archive.day(date)
         pipeline = self.session.pipeline
         cache_hit = False
@@ -354,14 +333,10 @@ class ArchiveScheduler:
                 self.cache.put(key, result.alarms)
         else:
             result = pipeline.run_with_alarms(day.trace, alarms)
-        csv_path = self.database.store_day(date, result)
-        if self.warehouse is not None:
-            self.warehouse.store_result(
-                date, result, version=self.warehouse_version
-            )
-        if self.index is not None:
-            self.index.publish_result(date, result)
-        return cache_hit, csv_path
+        self.warehouse.store_result(
+            date, result, version=self.warehouse_version
+        )
+        return cache_hit
 
     # -- the loop ------------------------------------------------------
 

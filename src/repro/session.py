@@ -1,9 +1,7 @@
 """The single labeling orchestrator: one configuration, three run modes.
 
-Before this module, the repository had three separate pipeline entry
-points — ``MAWILabPipeline.run`` for one closed trace,
-``BatchRunner`` for archive fan-out, and ``StreamingPipeline`` for
-sliding-window labeling — each wiring Step 1-4 on its own.
+Closed-trace labeling, archive fan-out and sliding-window labeling
+each used to wire Steps 1-4 on their own.
 :class:`LabelingSession` unifies them: one session owns one
 :class:`~repro.runner.config.PipelineConfig` (and therefore one
 execution engine, one strategy, one granularity, one similarity

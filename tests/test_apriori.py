@@ -114,3 +114,46 @@ class TestCoverage:
 
     def test_empty(self):
         assert coverage([], []) == 0.0
+
+
+class TestHashSeedIndependence:
+    """Rule order must not depend on ``PYTHONHASHSEED``."""
+
+    SCRIPT = """
+from repro.rules.summarize import summarize_transactions
+transactions = [
+    (("src", 1), ("sport", 2), ("dst", 3), ("dport", 4)),
+    (("src", 1), ("sport", 2)),
+    (("dst", 3), ("dport", 4)),
+]
+rules = summarize_transactions(transactions, min_support_pct=50.0).rules
+print([(r.src, r.sport, r.dst, r.dport) for r in rules])
+"""
+
+    def test_tied_rules_keep_one_order_across_hash_seeds(self):
+        """Two maximal 2-itemsets with equal (size, count), first seen
+        in the same transaction: their order used to follow hash order."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src_root = os.path.dirname(os.path.dirname(repro.__file__))
+        orders = set()
+        for seed in ("0", "1", "2", "5"):
+            env = {
+                **os.environ,
+                "PYTHONHASHSEED": seed,
+                "PYTHONPATH": src_root,
+            }
+            orders.add(
+                subprocess.run(
+                    [sys.executable, "-c", self.SCRIPT],
+                    env=env,
+                    capture_output=True,
+                    text=True,
+                    check=True,
+                ).stdout
+            )
+        assert orders == {"[(None, None, 3, 4), (1, 2, None, None)]\n"}

@@ -1,68 +1,74 @@
-"""Tests for the on-disk label database."""
+"""Tests for the label database: the warehouse as the durable store of
+labeled days, and the live index of days still being labeled."""
 
 import os
 
 import pytest
 
-from repro.errors import LabelingError
+from repro.errors import LabelingError, WarehouseError
 from repro.eval.benchmark import benchmark_detector
-from repro.labeling.database import LabelDatabase
+from repro.labeling.database import LiveLabelIndex
+from repro.labeling.warehouse import Warehouse
+
+DATE = "2004-06-01"
 
 
 @pytest.fixture
 def database(tmp_path, pipeline_result):
-    db = LabelDatabase(str(tmp_path / "mawilab"))
-    db.store_day("2004-06-01", pipeline_result)
-    return db
+    warehouse = Warehouse(tmp_path / "mawilab")
+    warehouse.ensure_version("vtest")
+    warehouse.store_result(DATE, pipeline_result)
+    return warehouse
 
 
 class TestStore:
     def test_layout(self, database):
-        path = os.path.join(database.root, "2004", "06")
-        assert os.path.isdir(path)
-        assert os.path.exists(
-            os.path.join(path, "01_anomalous_suspicious.csv")
-        )
-        assert os.path.exists(os.path.join(database.root, "index.csv"))
+        assert (database.root / "manifest.json").exists()
+        version_dir = database.root / "v0001"
+        assert (version_dir / f"{DATE}.labels.seg").exists()
+        assert (version_dir / f"{DATE}.alarms.seg").exists()
 
     def test_index_counts(self, database, pipeline_result):
-        summary = database.summary("2004-06-01")
-        assert summary["n_communities"] == len(pipeline_result.labels)
-        assert summary["n_anomalous"] == len(pipeline_result.anomalous())
-        assert summary["n_alarms"] == len(pipeline_result.alarms)
+        counts = database.stats()["days"][DATE]
+        assert counts["n_communities"] == len(pipeline_result.labels)
+        assert counts["n_anomalous"] == len(pipeline_result.anomalous())
+        assert counts["n_alarms"] == len(pipeline_result.alarms)
 
     def test_dates(self, database, pipeline_result):
-        assert database.dates() == ["2004-06-01"]
-        database.store_day("2004-06-02", pipeline_result)
-        assert database.dates() == ["2004-06-01", "2004-06-02"]
+        assert database.dates() == [DATE]
+        database.store_result("2004-06-02", pipeline_result)
+        assert database.dates() == [DATE, "2004-06-02"]
 
     def test_restore_overwrites(self, database, pipeline_result):
-        database.store_day("2004-06-01", pipeline_result)
-        assert database.dates() == ["2004-06-01"]
+        database.store_result(DATE, pipeline_result)
+        assert database.dates() == [DATE]
 
     def test_bad_date_rejected(self, database, pipeline_result):
-        with pytest.raises(LabelingError):
-            database.store_day("June 1st", pipeline_result)
+        """Day keys name segment files: nothing may escape the root."""
+        for bad in ("../escape", "2004/06/01", ".hidden", ""):
+            with pytest.raises(WarehouseError, match="bad day key"):
+                database.store_result(bad, pipeline_result)
+        assert database.dates() == [DATE]
 
 
 class TestLoad:
     def test_missing_day(self, database):
-        with pytest.raises(LabelingError):
-            database.load_day("1999-01-01")
-        with pytest.raises(LabelingError):
-            database.summary("1999-01-01")
+        with pytest.raises(WarehouseError):
+            database.label_store("1999-01-01")
+        with pytest.raises(WarehouseError):
+            database.export_csv("1999-01-01")
 
     def test_rows_round_trip(self, database, pipeline_result):
-        rows = database.load_day("2004-06-01")
+        rows = database.query(date=DATE)
         assert rows
-        stored_ids = {row.community_id for row in rows}
+        stored_ids = {row["community"] for row in rows}
         original_ids = {r.community_id for r in pipeline_result.labels}
         assert stored_ids == original_ids
-        taxonomies = {row.taxonomy for row in rows}
+        taxonomies = {row["taxonomy"] for row in rows}
         assert taxonomies <= {"anomalous", "suspicious", "notice"}
 
     def test_records_round_trip(self, database, pipeline_result):
-        records = database.load_day_records("2004-06-01")
+        records = database.label_store(DATE).to_records()
         assert len(records) == len(pipeline_result.labels)
         by_id = {r.community_id: r for r in records}
         for original in pipeline_result.labels:
@@ -71,15 +77,15 @@ class TestLoad:
             assert restored.heuristic == original.heuristic
             assert restored.n_alarms == original.n_alarms
             assert restored.detectors == original.detectors
-            assert restored.t0 == pytest.approx(original.t0, abs=1e-3)
-            assert len(restored.summary.rules) == len(original.summary.rules)
+            assert restored.t0 == original.t0
+            assert restored.summary.rules == original.summary.rules
 
     def test_restored_records_usable_for_benchmarking(
         self, database, archive_day
     ):
         from repro.detectors.kl import KLDetector
 
-        records = database.load_day_records("2004-06-01")
+        records = database.label_store(DATE).to_records()
         score = benchmark_detector(
             KLDetector(tuning="sensitive", threshold=1.8),
             archive_day.trace,
@@ -96,84 +102,47 @@ class TestAtomicWrites:
         self, database, pipeline_result, monkeypatch
     ):
         """A write failing mid-publish (injected at os.replace) must
-        leave the previous day file and index untouched and no tmp
+        leave the previous segment and manifest untouched and no tmp
         litter behind — readers never observe a partial write."""
         import repro.ioutil as ioutil
 
-        day_path = os.path.join(
-            database.root, "2004", "06", "01_anomalous_suspicious.csv"
-        )
-        with open(day_path) as handle:
-            day_before = handle.read()
-        with open(os.path.join(database.root, "index.csv")) as handle:
-            index_before = handle.read()
+        manifest_path = database.root / "manifest.json"
+        segment_path = database.root / "v0001" / f"{DATE}.labels.seg"
+        manifest_before = manifest_path.read_bytes()
+        segment_before = segment_path.read_bytes()
 
         def exploding_replace(src, dst):
             raise OSError("disk full")
 
         monkeypatch.setattr(ioutil.os, "replace", exploding_replace)
         with pytest.raises(OSError, match="disk full"):
-            database.store_day("2004-06-01", pipeline_result)
+            database.store_result(DATE, pipeline_result)
         monkeypatch.undo()
 
-        with open(day_path) as handle:
-            assert handle.read() == day_before
-        with open(os.path.join(database.root, "index.csv")) as handle:
-            assert handle.read() == index_before
+        assert manifest_path.read_bytes() == manifest_before
+        assert segment_path.read_bytes() == segment_before
         for dirpath, _dirnames, filenames in os.walk(database.root):
             assert not [n for n in filenames if n.endswith(".tmp")], dirpath
-
-    def test_rebuild_index_after_partial_write(
-        self, database, pipeline_result
-    ):
-        """A truncated index (simulating a pre-atomic-write crash) is
-        fully recovered from the day files, counts included."""
-        database.store_day("2004-06-02", pipeline_result)
-        summary_before = database.summary("2004-06-01")
-        index_path = os.path.join(database.root, "index.csv")
-        with open(index_path) as handle:
-            content = handle.read()
-        with open(index_path, "w") as handle:
-            handle.write(content[: len(content) // 2])  # partial write
-
-        rebuilt = database.rebuild_index()
-        assert rebuilt == ["2004-06-01", "2004-06-02"]
-        assert database.dates() == ["2004-06-01", "2004-06-02"]
-        assert database.summary("2004-06-01") == summary_before
-
-    def test_rebuild_index_after_missing_index(
-        self, database, pipeline_result
-    ):
-        os.unlink(os.path.join(database.root, "index.csv"))
-        assert database.dates() == []
-        assert database.rebuild_index() == ["2004-06-01"]
-        summary = database.summary("2004-06-01")
-        assert summary["n_alarms"] == len(pipeline_result.alarms)
+        assert Warehouse(database.root).verify()["segments"] == 2
 
     def test_multi_day_dates_ordering(self, database, pipeline_result):
         """dates() sorts chronologically however days were stored."""
         for date in ("2004-12-25", "2004-06-02", "2003-01-31"):
-            database.store_day(date, pipeline_result)
-        assert database.dates() == [
-            "2003-01-31",
-            "2004-06-01",
-            "2004-06-02",
-            "2004-12-25",
-        ]
-        assert database.rebuild_index() == database.dates()
+            database.store_result(date, pipeline_result)
+        expected = ["2003-01-31", DATE, "2004-06-02", "2004-12-25"]
+        assert database.dates() == expected
+        assert Warehouse(database.root).dates() == expected
 
 
 class TestLiveLabelIndex:
     @pytest.fixture
     def index(self, pipeline_result):
-        from repro.labeling.database import LiveLabelIndex
-
         live = LiveLabelIndex()
-        live.publish_result("2004-06-01", pipeline_result)
+        live.publish(DATE, pipeline_result.label_store())
         return live
 
     def test_query_matches_store(self, index, pipeline_result):
-        rows = index.query(date="2004-06-01")
+        rows = index.query(date=DATE)
         assert len(rows) == len(pipeline_result.labels)
         assert {row["taxonomy"] for row in rows} <= {
             "anomalous",
@@ -182,7 +151,7 @@ class TestLiveLabelIndex:
         }
 
     def test_taxonomy_filter(self, index, pipeline_result):
-        anomalous = index.query(date="2004-06-01", taxonomy="anomalous")
+        anomalous = index.query(date=DATE, taxonomy="anomalous")
         assert len(anomalous) == len(pipeline_result.anomalous())
         with pytest.raises(LabelingError, match="unknown taxonomy"):
             index.query(taxonomy="bogus")
@@ -214,23 +183,44 @@ class TestLiveLabelIndex:
         )
         with pytest.raises(LabelingError, match="address"):
             index.query(src="not-an-ip")
+        with pytest.raises(LabelingError, match="address"):
+            index.query(src="10.0.0")
+
+    def test_port_filters(self, index, pipeline_result):
+        """Live days answer sport/dport like warehouse days do."""
+        record, dport = next(
+            (r, rule.dport)
+            for r in pipeline_result.labels
+            for rule in r.summary.rules
+            if rule.dport is not None
+        )
+        rows = index.query(dport=dport)
+        assert any(row["community"] == record.community_id for row in rows)
+        assert all(
+            any(rule["dport"] == dport for rule in row["rules"])
+            for row in rows
+        )
+        assert index.query(sport=70000) == []
 
     def test_limit_and_multi_day_order(self, index, pipeline_result):
-        index.publish_result("2004-06-02", pipeline_result)
+        index.publish("2004-06-02", pipeline_result.label_store())
         rows = index.query()
         dates = [row["date"] for row in rows]
         assert dates == sorted(dates)
         assert len(index.query(limit=3)) == 3
+        assert index.query(limit=0) == []
+        with pytest.raises(LabelingError, match="limit"):
+            index.query(limit=-1)
 
     def test_store_for_and_drop(self, index):
-        assert len(index.store_for("2004-06-01"))
+        assert len(index.store_for(DATE))
         with pytest.raises(LabelingError):
             index.store_for("1999-01-01")
-        index.drop("2004-06-01")
+        index.drop(DATE)
         assert index.dates() == []
 
     def test_counters(self, index):
-        index.query(date="2004-06-01")
+        index.query(date=DATE)
         counters = index.counters()
         assert counters["days"] == 1
         assert counters["publishes"] == 1
@@ -238,7 +228,7 @@ class TestLiveLabelIndex:
         assert counters["labels"] > 0
 
     def test_publish_replaces_day_atomically(self, index, pipeline_result):
-        before = len(index.query(date="2004-06-01"))
-        index.publish_result("2004-06-01", pipeline_result)
-        assert len(index.query(date="2004-06-01")) == before
+        before = len(index.query(date=DATE))
+        index.publish(DATE, pipeline_result.label_store())
+        assert len(index.query(date=DATE)) == before
         assert index.counters()["publishes"] == 2

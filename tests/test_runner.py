@@ -1,4 +1,4 @@
-"""Batch runner: sharding determinism, caching, resume semantics."""
+"""Batch runs: sharding determinism, caching, resume semantics."""
 
 from __future__ import annotations
 
@@ -9,12 +9,12 @@ import pytest
 from repro.mawi.archive import SyntheticArchive
 from repro.runner import (
     AlarmCache,
-    BatchRunner,
     PipelineConfig,
     parallel_map,
 )
 from repro.runner import worker as worker_module
 from repro.runner.worker import csv_path_for
+from repro.session import LabelingSession
 
 DATES = ["2004-06-01", "2004-06-02", "2004-06-03"]
 
@@ -26,6 +26,12 @@ def small_archive() -> SyntheticArchive:
 
 def _csv_bytes(out_dir, dates):
     return [csv_path_for(out_dir, date).read_bytes() for date in dates]
+
+
+def label_archive(archive, dates, progress=None, **options):
+    """One archive batch run on a fresh session (closed afterwards)."""
+    with LabelingSession(**options) as session:
+        return session.label_archive(archive, dates, progress=progress)
 
 
 def double(x: int) -> int:  # module-level so pool workers can import it
@@ -81,16 +87,18 @@ class TestAlarmCache:
 
 
 class TestBatchRunner:
+    """``LabelingSession.label_archive`` / ``label_traces`` batch runs."""
+
     def test_parallel_matches_serial_byte_identical(
         self, small_archive, tmp_path
     ):
         serial_dir = tmp_path / "serial"
         pool_dir = tmp_path / "pool"
-        serial = BatchRunner(workers=1, out_dir=str(serial_dir)).run(
-            small_archive, DATES
+        serial = label_archive(
+            small_archive, DATES, workers=1, out_dir=str(serial_dir)
         )
-        pooled = BatchRunner(workers=4, out_dir=str(pool_dir)).run(
-            small_archive, DATES
+        pooled = label_archive(
+            small_archive, DATES, workers=4, out_dir=str(pool_dir)
         )
         assert [r.date for r in serial.reports] == DATES
         assert [r.date for r in pooled.reports] == DATES
@@ -102,7 +110,7 @@ class TestBatchRunner:
     def test_matches_direct_pipeline_run(self, small_archive):
         from repro.labeling.mawilab import labels_to_csv
 
-        batch = BatchRunner().run(small_archive, DATES[:1])
+        batch = label_archive(small_archive, DATES[:1])
         pipeline = PipelineConfig().build_pipeline()
         result = pipeline.run(small_archive.day(DATES[0]).trace)
         import hashlib
@@ -116,22 +124,26 @@ class TestBatchRunner:
         self, small_archive, tmp_path
     ):
         cache_dir = str(tmp_path / "cache")
-        first = BatchRunner(cache_dir=cache_dir).run(small_archive, DATES)
+        first = label_archive(small_archive, DATES, cache_dir=cache_dir)
         assert first.cache_hits == 0
         assert first.cache_misses == len(DATES)
 
         # Different combiner + granularity: Step 1 output is reused.
-        relabel = BatchRunner(
+        relabel = label_archive(
+            small_archive,
+            DATES,
             config=PipelineConfig(strategy="average", granularity="packet"),
             cache_dir=cache_dir,
-        ).run(small_archive, DATES)
+        )
         assert relabel.cache_hits == len(DATES)
         assert all(r.ok for r in relabel.reports)
 
         # Cached alarms must label identically to a cache-less run.
-        fresh = BatchRunner(
-            config=PipelineConfig(strategy="average", granularity="packet")
-        ).run(small_archive, DATES)
+        fresh = label_archive(
+            small_archive,
+            DATES,
+            config=PipelineConfig(strategy="average", granularity="packet"),
+        )
         assert [r.csv_sha256 for r in relabel.reports] == [
             r.csv_sha256 for r in fresh.reports
         ]
@@ -140,11 +152,13 @@ class TestBatchRunner:
         self, small_archive, tmp_path
     ):
         cache_dir = str(tmp_path / "cache")
-        BatchRunner(cache_dir=cache_dir).run(small_archive, DATES[:1])
-        trimmed = BatchRunner(
+        label_archive(small_archive, DATES[:1], cache_dir=cache_dir)
+        trimmed = label_archive(
+            small_archive,
+            DATES[:1],
             config=PipelineConfig(detectors=("kl", "pca")),
             cache_dir=cache_dir,
-        ).run(small_archive, DATES[:1])
+        )
         assert trimmed.cache_hits == 0
 
     def test_worker_failure_is_isolated_and_resume_completes(
@@ -159,15 +173,15 @@ class TestBatchRunner:
             return real_inner(task)
 
         monkeypatch.setattr(worker_module, "_run_task_inner", flaky)
-        crashed = BatchRunner(out_dir=out_dir).run(small_archive, DATES)
+        crashed = label_archive(small_archive, DATES, out_dir=out_dir)
         assert [r.status for r in crashed.reports] == ["ok", "failed", "ok"]
         assert "simulated worker crash" in crashed.failures()[0].error
         assert not csv_path_for(out_dir, DATES[1]).exists()
 
         # Resume after the "crash" recomputes only the failed shard.
         monkeypatch.setattr(worker_module, "_run_task_inner", real_inner)
-        resumed = BatchRunner(out_dir=out_dir, resume=True).run(
-            small_archive, DATES
+        resumed = label_archive(
+            small_archive, DATES, out_dir=out_dir, resume=True
         )
         assert [r.status for r in resumed.reports] == [
             "skipped",
@@ -177,7 +191,7 @@ class TestBatchRunner:
 
         # The resumed output set is byte-identical to a clean full run.
         clean_dir = str(tmp_path / "clean")
-        clean = BatchRunner(out_dir=clean_dir).run(small_archive, DATES)
+        clean = label_archive(small_archive, DATES, out_dir=clean_dir)
         assert [r.csv_sha256 for r in resumed.reports] == [
             r.csv_sha256 for r in clean.reports
         ]
@@ -185,16 +199,17 @@ class TestBatchRunner:
 
     def test_resume_requires_out_dir(self):
         with pytest.raises(ValueError):
-            BatchRunner(resume=True)
+            LabelingSession(resume=True)
 
     def test_duplicate_dates_rejected(self, small_archive):
         with pytest.raises(ValueError):
-            BatchRunner().run(small_archive, [DATES[0], DATES[0]])
+            label_archive(small_archive, [DATES[0], DATES[0]])
 
     def test_run_traces_matches_archive_path(self, small_archive):
-        by_date = BatchRunner().run(small_archive, DATES[:2])
+        by_date = label_archive(small_archive, DATES[:2])
         traces = [small_archive.day(date).trace for date in DATES[:2]]
-        by_trace = BatchRunner().run_traces(traces)
+        with LabelingSession() as session:
+            by_trace = session.label_traces(traces)
         # Label content is trace-derived only, so the CSVs agree even
         # though the shard keys differ (trace names vs ISO dates).
         assert sorted(r.csv_sha256 for r in by_trace.reports) == sorted(
@@ -204,7 +219,7 @@ class TestBatchRunner:
     def test_report_json_and_describe(self, small_archive):
         import json
 
-        batch = BatchRunner().run(small_archive, DATES[:1])
+        batch = label_archive(small_archive, DATES[:1])
         payload = json.loads(batch.to_json())
         assert payload["n_completed"] == 1
         assert payload["traces"][0]["date"] == DATES[0]
@@ -213,7 +228,7 @@ class TestBatchRunner:
 
     def test_progress_reports_each_shard(self, small_archive):
         seen = []
-        BatchRunner().run(
+        label_archive(
             small_archive,
             DATES[:2],
             progress=lambda done, total, report: seen.append(

@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro.errors import ServeError
-from repro.labeling.database import LabelDatabase, LiveLabelIndex
+from repro.labeling.warehouse import Warehouse
 from repro.mawi.archive import SyntheticArchive
 from repro.serve import ArchiveScheduler, IngestJournal
 from repro.session import LabelingSession
@@ -38,7 +38,7 @@ def make_scheduler(small_archive, shared_session, tmp_path, **kwargs):
     return ArchiveScheduler(
         small_archive,
         DATES,
-        str(tmp_path / "db"),
+        str(tmp_path / "wh"),
         session=shared_session,
         cache_dir=str(tmp_path / "cache"),
         **kwargs,
@@ -69,7 +69,7 @@ class TestResume:
         assert [o.status for o in outcomes] == ["skipped", "skipped", "done"]
         assert ran["days"] == ["2004-06-03"]
         assert second.pending() == []
-        assert LabelDatabase(str(tmp_path / "db")).dates() == DATES
+        assert Warehouse(tmp_path / "wh").dates() == DATES
 
     def test_forced_rerun_hits_alarm_cache(
         self, small_archive, shared_session, tmp_path
@@ -109,7 +109,7 @@ class TestResume:
         c = ArchiveScheduler(
             other_archive,
             DATES,
-            str(tmp_path / "db"),
+            str(tmp_path / "wh"),
             session=shared_session,
         )
         assert c.version != a.version
@@ -207,16 +207,24 @@ class TestJournal:
 
 
 class TestLivePublish:
-    def test_scheduled_days_reach_live_index(
-        self, small_archive, shared_session, tmp_path
-    ):
-        index = LiveLabelIndex()
-        scheduler = make_scheduler(
-            small_archive, shared_session, tmp_path, index=index
-        )
-        scheduler.run_once(limit=2)
-        assert index.dates() == ["2004-06-01", "2004-06-02"]
-        assert index.query(date="2004-06-01")
+    def test_scheduled_days_reach_live_index(self, small_archive, tmp_path):
+        """A running service answers each scheduled day as soon as the
+        scheduler stores it in the shared warehouse — no restart."""
+        from repro.serve import LabelingService
+
+        with LabelingService(warehouse_root=str(tmp_path / "wh")) as service:
+            scheduler = ArchiveScheduler(
+                small_archive,
+                DATES,
+                service.warehouse,
+                session=service.session,
+            )
+            scheduler.run_once(limit=2)
+            assert service.health()["warehouse_days"] == 2
+            assert service.query_labels(date="2004-06-01")
+            assert service.index.dates() == []
+        journal = tmp_path / "wh" / "ingest-journal.json"
+        assert scheduler.journal.path == journal
 
     def test_run_forever_stops_on_event(
         self, small_archive, shared_session, tmp_path
@@ -231,7 +239,7 @@ class TestLivePublish:
 
     def test_owned_session_closed(self, small_archive, tmp_path):
         scheduler = ArchiveScheduler(
-            small_archive, DATES[:1], str(tmp_path / "db")
+            small_archive, DATES[:1], str(tmp_path / "wh")
         )
         assert scheduler._owns_session
         scheduler.run_once()

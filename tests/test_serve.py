@@ -270,6 +270,55 @@ class TestHTTP:
         ) == labels_to_csv(service.index.store_for(DATE).to_records())
 
 
+def _raw_request(port: int, request: bytes) -> bytes:
+    """Send raw bytes, return everything the server answers."""
+    import socket
+
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestHostileInput:
+    """Malformed requests get a 400 and the server keeps serving."""
+
+    def _still_serving(self, base):
+        assert _get(base, "/health")["status"] == "ok"
+
+    @pytest.mark.parametrize("length", [b"abc", b"-5"])
+    def test_bad_content_length_400(self, served, length):
+        _, server, base = served
+        reply = _raw_request(
+            server.port,
+            b"POST /feeds/x HTTP/1.1\r\nContent-Length: "
+            + length
+            + b"\r\n\r\n{}",
+        )
+        assert reply.startswith(b"HTTP/1.1 400 "), reply
+        assert b"Content-Length" in reply
+        self._still_serving(base)
+
+    def test_limit_zero_and_negative(self, served):
+        _, _, base = served
+        assert _get(base, f"/labels?date={DATE}&limit=0")["count"] == 0
+        assert _get(base, "/labels?limit=0")["count"] == 0
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _get(base, f"/labels?date={DATE}&limit=-1")
+        assert excinfo.value.code == 400
+        self._still_serving(base)
+
+    def test_malformed_address_400(self, served):
+        _, _, base = served
+        for value in ("10.0.0", "10.0.0.999", "nope"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _get(base, f"/labels?date={DATE}&src={value}")
+            assert excinfo.value.code == 400, value
+        self._still_serving(base)
+
+
 class TestBackpressure:
     def test_peak_ring_bounded_while_consumer_lags(self, archive_day):
         """The acceptance bound: a producer outrunning the labeler
@@ -324,18 +373,21 @@ class TestServiceLifecycle:
         service.shutdown()
 
     def test_close_feed_persists_day(self, tmp_path, archive_day):
-        from repro.labeling.database import LabelDatabase
+        from repro.labeling.warehouse import Warehouse
 
         with LabelingService(
             window=archive_day.trace.duration * 2,
-            db_root=str(tmp_path / "db"),
+            warehouse_root=str(tmp_path / "wh"),
         ) as service:
             service.open_feed("persist", date=DATE)
             service.push("persist", archive_day.trace.table)
             service.close_feed("persist")
-        db = LabelDatabase(str(tmp_path / "db"))
-        assert db.dates() == [DATE]
-        assert db.load_day_records(DATE)
+            live_csv = labels_to_csv(
+                service.index.store_for(DATE).to_records()
+            )
+        warehouse = Warehouse(tmp_path / "wh")
+        assert warehouse.dates() == [DATE]
+        assert warehouse.export_csv(DATE) == live_csv
 
 
 class TestP95:
@@ -361,8 +413,8 @@ class TestServeCLI:
                 "b",
                 "--schedule",
                 "60",
-                "--db-root",
-                "db",
+                "--warehouse-root",
+                "wh",
                 "--max-ring-packets",
                 "1024",
             ]
@@ -373,8 +425,8 @@ class TestServeCLI:
         assert args.max_ring_packets == 1024
         assert args.func.__name__ == "_cmd_serve"
 
-    def test_schedule_requires_db_root(self, capsys):
+    def test_schedule_requires_warehouse_root(self, capsys):
         from repro.cli import main
 
         assert main(["serve", "--schedule", "60"]) == 2
-        assert "--db-root" in capsys.readouterr().err
+        assert "--warehouse-root" in capsys.readouterr().err

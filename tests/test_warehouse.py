@@ -13,7 +13,8 @@ Four angles on :mod:`repro.labeling.warehouse`:
   leaves the previous manifest pointing only at complete files.
 * **Queries** — predicate pushdown over mapped columns agrees with the
   in-memory :class:`~repro.labeling.database.LiveLabelIndex` row for
-  row, on both engines.
+  row, on both engines, and a serving daemon answers every day it
+  committed whichever version is current.
 * **Delta recompute** — a combiner-only configuration change must
   rerun zero Step 1 detections (alarms come back from the old
   version's segments or the :class:`~repro.runner.cache.AlarmCache`),
@@ -31,7 +32,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.alarm_table import AlarmTable
-from repro.errors import LabelingError, WarehouseError
+from repro.errors import WarehouseError
 from repro.labeling.database import LiveLabelIndex
 from repro.labeling.heuristics import HeuristicLabel
 from repro.labeling.mawilab import LabelRecord, labels_to_csv
@@ -496,27 +497,25 @@ def test_recompute_without_archive_metadata_raises(tmp_path):
 
 
 def test_scheduler_dual_writes_warehouse(tmp_path, small_archive):
+    """The scheduler's warehouse days export byte-identical to the
+    offline ``repro label`` CSV of the same archive day."""
+    from repro.labeling.mawilab import MAWILabPipeline
     from repro.serve.scheduler import ArchiveScheduler
 
     dates = ["2004-01-01", "2004-02-01"]
     with ArchiveScheduler(
         small_archive,
         dates,
-        str(tmp_path / "db"),
-        warehouse=str(tmp_path / "wh"),
+        str(tmp_path / "wh"),
     ) as scheduler:
         outcomes = scheduler.run_once()
     assert [o.status for o in outcomes] == ["done", "done"]
     wh = Warehouse(tmp_path / "wh")
     assert wh.dates() == dates
-    # Byte-identical dual write, via the database's own day layout.
-    from repro.labeling.database import LabelDatabase, _day_relpath
-
-    database = LabelDatabase(str(tmp_path / "db"))
+    pipeline = MAWILabPipeline()
     for date in dates:
-        with open(tmp_path / "db" / _day_relpath(date)) as handle:
-            assert wh.export_csv(date) == handle.read()
-        assert [r.community_id for r in database.load_day(date)]
+        offline = pipeline.run(small_archive.day(date).trace)
+        assert wh.export_csv(date) == labels_to_csv(offline.labels)
 
 
 def test_service_answers_labels_from_warehouse(tmp_path, small_archive):
@@ -524,17 +523,12 @@ def test_service_answers_labels_from_warehouse(tmp_path, small_archive):
     from repro.serve.scheduler import ArchiveScheduler
 
     date = "2004-01-01"
-    with LabelingService(
-        db_root=str(tmp_path / "db"),
-        warehouse_root=str(tmp_path / "wh"),
-    ) as service:
+    with LabelingService(warehouse_root=str(tmp_path / "wh")) as service:
         with ArchiveScheduler(
             small_archive,
             [date],
-            str(tmp_path / "db"),
+            service.warehouse,
             session=service.session,
-            index=service.index,
-            warehouse=service.warehouse,
         ) as scheduler:
             scheduler.run_once()
         assert service.health()["warehouse_days"] == 1
@@ -542,8 +536,69 @@ def test_service_answers_labels_from_warehouse(tmp_path, small_archive):
         assert rows and all(row["date"] == date for row in rows)
         rows80 = service.query_labels(date=date, dport=80)
         assert all(row in rows for row in rows80)
-        # sport/dport predicates exist only on the warehouse path.
-        with pytest.raises(LabelingError):
-            service.query_labels(date="1999-01-01", dport=80)
+        assert service.query_labels(date="1999-01-01", dport=80) == []
         csv_text = service.labels_csv(date)
         assert csv_text == Warehouse(tmp_path / "wh").export_csv(date)
+
+
+def test_scheduled_and_fed_days_survive_feed_close_and_restart(
+    tmp_path, small_archive
+):
+    """Both writers, one warehouse: a feed closing after a scheduled
+    day re-activates its own version, yet both days keep answering
+    JSON and CSV queries — before and after a restart on the same
+    root with the same arguments (the scheduled day then exists only
+    in the warehouse)."""
+    from repro.labeling.mawilab import MAWILabPipeline
+    from repro.serve.daemon import LabelingService
+    from repro.serve.scheduler import ArchiveScheduler
+
+    scheduled, fed = "2004-01-01", "2004-03-01"
+    fed_day = small_archive.day(fed)
+    window = fed_day.trace.duration * 2
+    root = str(tmp_path / "wh")
+
+    def run_service(feed: bool) -> dict:
+        with LabelingService(window=window, warehouse_root=root) as service:
+            with ArchiveScheduler(
+                small_archive,
+                [scheduled],
+                service.warehouse,
+                session=service.session,
+            ) as scheduler:
+                scheduler.run_once()
+            if feed:
+                service.open_feed("live", date=fed)
+                service.push("live", fed_day.trace.table)
+                service.close_feed("live")
+            return {
+                "health": service.health(),
+                "rows": {
+                    date: service.query_labels(date=date)
+                    for date in (scheduled, fed)
+                },
+                "all": service.query_labels(),
+                "csv": {
+                    date: service.labels_csv(date)
+                    for date in (scheduled, fed)
+                },
+            }
+
+    first = run_service(feed=True)
+    # The feed close flipped the current pointer to the feeds' version.
+    warehouse = Warehouse(root)
+    assert warehouse.current_version == "v0002"
+    assert not warehouse.has_day(scheduled)
+    restarted = run_service(feed=False)
+
+    pipeline = MAWILabPipeline()
+    for state in (first, restarted):
+        assert state["health"]["warehouse_days"] == 2
+        for date in (scheduled, fed):
+            assert state["rows"][date], date
+            assert {row["date"] for row in state["rows"][date]} == {date}
+            offline = pipeline.run(small_archive.day(date).trace)
+            assert state["csv"][date] == labels_to_csv(offline.labels)
+        assert state["all"] == state["rows"][scheduled] + state["rows"][fed]
+    assert restarted["rows"] == first["rows"]
+    assert restarted["health"]["days_published"] == 0
