@@ -63,7 +63,6 @@ communities) reported.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
@@ -89,6 +88,18 @@ from repro.labeling.taxonomy import TAXONOMY_ORDER
 from repro.net.addresses import ip_to_int, ip_to_str
 
 _MANIFEST_NAME = "manifest.json"
+
+
+def check_day_key(date: str) -> None:
+    """Reject a day key that is not a plain file-name component.
+
+    The key names the day's segment files, so separators or a leading
+    dot (``../x``, ``.x``) would escape or hide in the version
+    directory.
+    """
+    if not date or date.startswith(".") or os.path.basename(date) != date:
+        raise WarehouseError(f"bad day key {date!r}")
+
 
 def warehouse_fingerprint(
     archive_fingerprint: str,
@@ -359,6 +370,14 @@ class Warehouse:
                 "current": None,
                 "versions": {},
             }
+        # config -> date -> newest version holding it (latest_days),
+        # built once here and kept current by store_day.
+        self._latest: dict[Optional[str], dict[str, str]] = {}
+        for version in self.versions():
+            entry = self._manifest["versions"][version]
+            self._latest.setdefault(entry.get("config"), {}).update(
+                dict.fromkeys(entry["days"], version)
+            )
 
     # -- manifest ------------------------------------------------------
 
@@ -444,11 +463,9 @@ class Warehouse:
         Returns the label segment path.  Segment files are published
         atomically and the manifest (bytes + SHA-256 per file) last, so
         a crash mid-store leaves the previous manifest pointing only at
-        complete files.  ``date`` names the segment files, so it must
-        be a plain file-name component (no separators, no leading dot).
+        complete files.  ``date`` must pass :func:`check_day_key`.
         """
-        if not date or date.startswith(".") or os.path.basename(date) != date:
-            raise WarehouseError(f"bad day key {date!r}")
+        check_day_key(date)
         version, entry = self._version_entry(version)
         store = (
             labels
@@ -509,6 +526,9 @@ class Warehouse:
         }
         entry["days"][date] = day_entry
         self._save_manifest()
+        latest = self._latest.setdefault(entry.get("config"), {})
+        if latest.get(date, "") <= version:
+            latest[date] = version
         return str(directory / f"{date}.labels.seg")
 
     def store_result(
@@ -543,14 +563,10 @@ class Warehouse:
 
         Independent of the current pointer: a serving daemon answers
         every day it committed (scheduled or fed, each kind in its own
-        version) from here, whichever version was activated last.
+        version) from here, whichever version was activated last.  The
+        map is kept on the warehouse (O(1) per call); do not mutate it.
         """
-        days: dict[str, str] = {}
-        for version in self.versions():
-            entry = self._manifest["versions"][version]
-            if entry.get("config") == config:
-                days.update(dict.fromkeys(entry["days"], version))
-        return days
+        return self._latest.get(config, {})
 
     def _segment(
         self,
@@ -883,6 +899,44 @@ def _address_code(value: Union[str, int]) -> int:
         raise LabelingError(f"bad address {value!r}") from exc
 
 
+def label_predicates(
+    *,
+    taxonomy: Optional[str] = None,
+    src: Optional[Union[str, int]] = None,
+    dst: Optional[Union[str, int]] = None,
+    sport: Optional[int] = None,
+    dport: Optional[int] = None,
+    t0: Optional[float] = None,
+    t1: Optional[float] = None,
+    limit: Optional[int] = None,
+) -> dict:
+    """The ``"warehouse_select"`` kernel arguments for one query.
+
+    Checks every predicate whatever days the query reaches: an unknown
+    taxonomy, a malformed address or a negative ``limit`` raise
+    :class:`~repro.errors.LabelingError`.
+    """
+    taxonomy_code = None
+    if taxonomy is not None:
+        if taxonomy not in TAXONOMY_ORDER:
+            raise LabelingError(
+                f"unknown taxonomy {taxonomy!r}; "
+                f"known: {list(TAXONOMY_ORDER)}"
+            )
+        taxonomy_code = TAXONOMY_ORDER.index(taxonomy)
+    if limit is not None and limit < 0:
+        raise LabelingError(f"limit must be >= 0, got {limit}")
+    return dict(
+        taxonomy_code=taxonomy_code,
+        src=None if src is None else _address_code(src),
+        dst=None if dst is None else _address_code(dst),
+        sport=None if sport is None else int(sport),
+        dport=None if dport is None else int(dport),
+        t0=t0,
+        t1=t1,
+    )
+
+
 def select_rows(
     days: Iterable[tuple[str, object]],
     *,
@@ -907,26 +961,17 @@ def select_rows(
     and ``sport`` / ``dport`` match labels whose concise rules pin
     that value; ``t0`` / ``t1`` keep labels whose span overlaps
     ``[t0, t1]``; at most ``limit`` rows come back.  Bad predicates
-    raise :class:`~repro.errors.LabelingError`.
+    raise :class:`~repro.errors.LabelingError` (:func:`label_predicates`).
     """
-    taxonomy_code = None
-    if taxonomy is not None:
-        if taxonomy not in TAXONOMY_ORDER:
-            raise LabelingError(
-                f"unknown taxonomy {taxonomy!r}; "
-                f"known: {list(TAXONOMY_ORDER)}"
-            )
-        taxonomy_code = TAXONOMY_ORDER.index(taxonomy)
-    if limit is not None and limit < 0:
-        raise LabelingError(f"limit must be >= 0, got {limit}")
-    predicates = dict(
-        taxonomy_code=taxonomy_code,
-        src=None if src is None else _address_code(src),
-        dst=None if dst is None else _address_code(dst),
-        sport=None if sport is None else int(sport),
-        dport=None if dport is None else int(dport),
+    predicates = label_predicates(
+        taxonomy=taxonomy,
+        src=src,
+        dst=dst,
+        sport=sport,
+        dport=dport,
         t0=t0,
         t1=t1,
+        limit=limit,
     )
     select = resolve_engine(engine, what="label query").kernel(
         "warehouse_select"
@@ -957,11 +1002,6 @@ def select_rows(
     return rows
 
 
-#: Dotted-quad rendering of rule addresses; hosts repeat across labels
-#: and queries, so the bounded cache turns most renders into a lookup.
-_dotted_quad = functools.lru_cache(maxsize=4096)(ip_to_str)
-
-
 def _render_row(arrays, pools, date: str, index: int) -> dict:
     """One query-result row (JSON-shaped; rules nested per label),
     read straight from the columns, never through a
@@ -978,9 +1018,9 @@ def _render_row(arrays, pools, date: str, index: int) -> dict:
         rule_sport, rule_dport = sport.item(j), dport.item(j)
         rules.append(
             {
-                "src": None if rule_src < 0 else _dotted_quad(rule_src),
+                "src": None if rule_src < 0 else ip_to_str(rule_src),
                 "sport": None if rule_sport < 0 else rule_sport,
-                "dst": None if rule_dst < 0 else _dotted_quad(rule_dst),
+                "dst": None if rule_dst < 0 else ip_to_str(rule_dst),
                 "dport": None if rule_dport < 0 else rule_dport,
                 "support": support.item(j),
             }

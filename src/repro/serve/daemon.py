@@ -51,10 +51,15 @@ import time
 from typing import Optional, Sequence
 
 from repro.engine import EngineSpec
-from repro.errors import ServeError
+from repro.errors import ServeError, WarehouseError
 from repro.labeling.database import LiveLabelIndex
 from repro.labeling.mawilab import labels_to_csv
-from repro.labeling.warehouse import Warehouse, warehouse_fingerprint
+from repro.labeling.warehouse import (
+    Warehouse,
+    check_day_key,
+    label_predicates,
+    warehouse_fingerprint,
+)
 from repro.net.table import PacketTable
 from repro.net.trace import TraceMetadata
 from repro.runner.config import PipelineConfig
@@ -391,6 +396,12 @@ class LabelingService:
         max_ring_packets: Optional[int] = None,
     ) -> Feed:
         """Open one named feed (its consumer thread starts now)."""
+        date = date or name
+        if self.warehouse is not None:
+            try:
+                check_day_key(date)
+            except WarehouseError as exc:
+                raise ServeError(f"feed {name!r}: {exc}") from exc
         with self._lock:
             if self._closed:
                 raise ServeError("service is shut down")
@@ -402,7 +413,7 @@ class LabelingService:
             feed = Feed(
                 self,
                 name=name,
-                date=date or name,
+                date=date,
                 window=window if window is not None else self.default_window,
                 hop=hop if hop is not None else self.default_hop,
                 max_ring_packets=(
@@ -493,12 +504,9 @@ class LabelingService:
         limit: Optional[int] = None,
     ) -> list[dict]:
         """Label rows matching the predicates, one date (or all dates,
-        in order) at a time, each from the source the read rule names."""
-        committed = self._committed()
-        if date is None:
-            dates = sorted(set(committed) | set(self.index.dates()))
-        else:
-            dates = [date]
+        in order) at a time, each from the source the read rule names.
+        Bad predicates raise :class:`~repro.errors.LabelingError` even
+        when no day is scanned."""
         predicates = dict(
             taxonomy=taxonomy,
             src=src,
@@ -508,6 +516,12 @@ class LabelingService:
             t0=t0,
             t1=t1,
         )
+        label_predicates(limit=limit, **predicates)
+        committed = self._committed()
+        if date is None:
+            dates = sorted(set(committed) | set(self.index.dates()))
+        else:
+            dates = [date]
         rows: list[dict] = []
         for day in dates:
             remaining = None if limit is None else limit - len(rows)

@@ -318,6 +318,60 @@ class TestHostileInput:
             assert excinfo.value.code == 400, value
         self._still_serving(base)
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "limit=0&src=10.0.0",
+            f"date={DATE}&limit=0&taxonomy=bogus",
+            "limit=0&dst=nope",
+        ],
+    )
+    def test_bad_predicate_with_limit_zero_400(self, served, query):
+        _, _, base = served
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _get(base, f"/labels?{query}")
+        assert excinfo.value.code == 400
+        self._still_serving(base)
+
+    def test_bad_predicate_on_empty_service_400(self):
+        """No day to scan: the predicates are still checked."""
+        with LabelingService(window=60.0) as service:
+            server = LabelServer(service).start_background()
+            base = f"http://127.0.0.1:{server.port}"
+            try:
+                assert _get(base, "/labels")["count"] == 0
+                for query in ("src=10.0.0", "taxonomy=bogus", "limit=-1"):
+                    with pytest.raises(urllib.error.HTTPError) as excinfo:
+                        _get(base, f"/labels?{query}")
+                    assert excinfo.value.code == 400, query
+                self._still_serving(base)
+            finally:
+                server.stop_background()
+
+    def test_bad_feed_date_rejected_at_open(self, tmp_path):
+        """A date that cannot name a warehouse day is refused before
+        any packet is accepted, not after labeling at close."""
+        with LabelingService(
+            window=60.0, warehouse_root=str(tmp_path / "wh")
+        ) as service:
+            server = LabelServer(service).start_background()
+            base = f"http://127.0.0.1:{server.port}"
+            try:
+                for name, options in (
+                    ("x", {"date": "../x"}),
+                    ("y", {"date": ".y"}),
+                    (".z", {}),
+                ):
+                    with pytest.raises(urllib.error.HTTPError) as excinfo:
+                        _post(base, f"/feeds/{name}", options)
+                    assert excinfo.value.code == 409, name
+                    assert b"bad day key" in excinfo.value.read()
+                assert service.feeds_status() == []
+                assert _post(base, "/feeds/ok", {"date": DATE})["name"] == "ok"
+                self._still_serving(base)
+            finally:
+                server.stop_background()
+
 
 class TestBackpressure:
     def test_peak_ring_bounded_while_consumer_lags(self, archive_day):

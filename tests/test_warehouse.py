@@ -354,6 +354,35 @@ def test_ensure_version_reuses_matching_fingerprint(tmp_path):
     assert wh.versions() == [first, second]
 
 
+@pytest.mark.parametrize("date", ["", ".x", "../x", "a/b"])
+def test_store_day_rejects_bad_day_key(warehouse, result_store, date):
+    with pytest.raises(WarehouseError, match="bad day key"):
+        warehouse.store_day(date, result_store)
+    assert warehouse.dates() == []
+
+
+def test_latest_days_tracks_stores_and_survives_reopen(
+    tmp_path, result_store
+):
+    """Per config, each date maps to the newest version holding it,
+    whichever version is current — kept by ``store_day`` and rebuilt
+    identically from the manifest on reopen."""
+    wh = Warehouse(tmp_path / "wh")
+    old = wh.ensure_version("fp-a", config="c")
+    wh.store_day("2004-06-01", result_store, version=old)
+    wh.store_day("2004-06-02", result_store, version=old)
+    new = wh.ensure_version("fp-b", config="c")
+    wh.store_day("2004-06-02", result_store, version=new)
+    other = wh.ensure_version("fp-c", config="other")
+    wh.store_day("2004-06-03", result_store, version=other)
+    wh.set_current(old)
+    expected = {"2004-06-01": old, "2004-06-02": new}
+    assert wh.latest_days("c") == expected
+    assert wh.latest_days("other") == {"2004-06-03": other}
+    assert wh.latest_days("unknown") == {}
+    assert Warehouse(tmp_path / "wh").latest_days("c") == expected
+
+
 def test_stats_come_from_manifest(warehouse, result_store):
     warehouse.store_day("2004-06-01", result_store)
     warehouse.store_day("2004-06-02", result_store)
